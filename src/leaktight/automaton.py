@@ -338,7 +338,7 @@ def parallel_composition(a: Automaton, b: Automaton) -> Automaton:
         rows[0][0] = third
         rows[0][index[a_names[a.initial]]] = third
         rows[0][index[b_names[b.initial]]] = third
-        for component, names, offset in ((a, a_names, None), (b, b_names, None)):
+        for component, names in ((a, a_names), (b, b_names)):
             matrix = component.matrix(letter)
             for s, row in enumerate(matrix):
                 si = index[names[component.states[s]]]

@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 from .automaton import Automaton
 from .errors import ValidationError
 from .limitword import LimitWord
-from .monoid import DEFAULT_CAP, MonoidClosure, _saturate
+from .monoid import DEFAULT_CAP, MonoidClosure, saturate
 from .sharpexpr import SharpExpression, epsilon_expr, letter_expr
 
 __all__ = [
@@ -119,19 +119,23 @@ def extended_markov_monoid(
 ) -> ExtendedClosure:
     """Saturate letter pairs under concatenation and iterates-on-idempotents."""
     dim = len(automaton.states)
-    one = LimitWord.identity(dim)
-    identity = (ExtendedLimitWord(word=one, support=one), epsilon_expr(dim))
-    generators = []
+    epsilon = epsilon_expr(dim)
+    seeds = [((epsilon.word, epsilon.word), epsilon)]
     for letter in automaton.alphabet:
         expression = letter_expr(automaton, letter)
-        pair = ExtendedLimitWord(word=expression.word, support=expression.word)
-        generators.append((pair, expression))
-    order, expressions, heights = _saturate(identity, generators, cap)
+        seeds.append(((expression.word, expression.word), expression))
+    rows, expressions, heights = saturate(seeds, cap)
+    elements = tuple(
+        ExtendedLimitWord(
+            word=LimitWord(dim, pair[:dim]), support=LimitWord(dim, pair[dim:])
+        )
+        for pair in rows
+    )
     return ExtendedClosure(
         automaton=automaton,
-        elements=order,
-        provenance=expressions,
-        heights=heights,
+        elements=elements,
+        provenance=dict(zip(elements, expressions)),
+        heights=dict(zip(elements, heights)),
     )
 
 

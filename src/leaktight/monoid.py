@@ -9,9 +9,14 @@ expression and the least number of nested iterates that can produce it.
 from __future__ import annotations
 
 import heapq
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from functools import reduce
+from itertools import chain, compress, count, repeat
+from operator import lshift, mul, not_, or_
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .automaton import Automaton
 from .errors import CapExceeded, ValidationError
@@ -26,6 +31,7 @@ from .sharpexpr import (
 
 __all__ = [
     "DEFAULT_CAP",
+    "saturate",
     "MonoidClosure",
     "markov_monoid",
     "is_value1_witness",
@@ -44,72 +50,160 @@ DEFAULT_CAP = 2**20
 
 
 # ---------------------------------------------------------------------------
-# Generic stratified saturation
+# Packed stratified saturation
 #
-# Works for any element type with concat / is_idempotent / iterate methods
-# (plain limit words and extended pairs alike).  The single closure pointer
-# guarantees every ordered product is computed exactly once; each layer is
-# fully concatenation-closed before the next round of iterates, which makes
-# the recorded iterate-nesting heights minimal.
+# One engine saturates both closures.  An element is a tuple of k limit
+# words over n states (k = 1 for the plain monoid; k = 2 for extended pairs,
+# word then support), packed into one int key: row s of component c is row
+# j = c·n + s, held in bits [j·n, (j+1)·n).  The componentwise product is
+#
+#     x·y = OR over j = c·n + m of ((x >> m) & S_c) * (row j of y)
+#
+# where S_c has bit (c·n + s)·n set for every row s of component c.  The
+# mask keeps one bit at the start of each row of x that contains column m,
+# and multiplying by an n-bit row of y copies that row into every kept
+# field; fields are n bits wide, so the copies never carry into each other.
+# The k·n masks are an element's left-operand form, its k·n rows its
+# right-operand form.  Only the first component is iterated; the others are
+# carried along, and an element is idempotent when all of them are.
+#
+# The closure pointer x is multiplied with every element y up to and
+# including it, x·y before y·x, so every ordered product is computed exactly
+# once.  The formula above does this for all those y at once: row j of
+# every y sits in one wide int, one slot of 64·`words` bits (at least a
+# key's width) per element, and so does mask j, so x·y for every y is an OR
+# of k·n multiplications of the wide rows by x's masks, and y·x one of the
+# wide masks by x's rows; no product outgrows its slot.
+#
+# Each layer is fully concatenation-closed before the next round of
+# iterates, which makes the recorded iterate-nesting heights minimal.
+# Provenance is kept as back-pointers, (p, q) for a product and i for an
+# iterate, and turned into expressions once per element at the end, which
+# also re-checks every iterate's idempotency precondition.
 
 
-def _saturate(identity, generators, cap: int):
-    elements: dict = {}
-    order: list = []
-    expressions: dict = {}
-    heights: dict = {}
+def saturate(
+    seeds: Sequence[tuple[tuple[LimitWord, ...], SharpExpression]], cap: int
+) -> tuple[Iterator[tuple[int, ...]], list[SharpExpression], list[int]]:
+    """Saturate seed elements under products and iterates.
 
-    def add(element, expression, height) -> None:
-        if element in elements:
-            return
-        if len(order) >= cap:
-            raise CapExceeded(
-                f"monoid closure exceeded cap of {cap} elements"
-            )
-        elements[element] = True
-        order.append(element)
-        expressions[element] = expression
-        heights[element] = height
+    `seeds` holds (components, expression) pairs, the identity first; the
+    components are limit words of one dimension.  Returns, per element in
+    discovery order, the rows of its components one after the other, its
+    expression and its least iterate-nesting height.
+    """
+    n = seeds[0][0][0].dim
+    k = len(seeds[0][0])
+    full = (1 << n) - 1
+    spread = sum(1 << (s * n) for s in range(n))
+    masks = tuple(spread << (c * n * n) for c in range(k))
+    shifts = tuple(j * n for j in range(k * n))
+    words = -(-k * n * n // 64)
 
-    add(identity[0], identity[1], 0)
-    for element, expression in generators:
-        add(element, expression, 0)
+    def left_form(key: int) -> list[int]:
+        return [(key >> m) & mask for mask in masks for m in range(n)]
+
+    def right_form(key: int) -> tuple[int, ...]:
+        return tuple((key >> shift) & full for shift in shifts)
+
+    keys: list[int] = []
+    known: set[int] = set()
+    sources: list = []
+    heights: list[int] = []
+    wide_lefts = [0] * (k * n)
+    wide_rights = [0] * (k * n)
+
+    def add(key: int, source, height: int) -> None:
+        if len(keys) >= cap:
+            raise CapExceeded(f"monoid closure exceeded cap of {cap} elements")
+        known.add(key)
+        keys.append(key)
+        sources.append(source)
+        heights.append(height)
+
+    def unpack(wide: int, slots: int) -> list[int]:
+        """The keys held in the first `slots` slots of a wide int."""
+        cells = array("Q", wide.to_bytes(8 * words * slots, "little"))
+        if sys.byteorder == "big":
+            cells.byteswap()
+        found = cells[0::words].tolist()
+        for w in range(1, words):
+            high = map(lshift, cells[w::words], repeat(64 * w))
+            found = list(map(or_, found, high))
+        return found
+
+    for components, expression in seeds:
+        key = 0
+        for j, row in enumerate(row for word in components for row in word.rows):
+            key |= row << (j * n)
+        if key not in known:
+            add(key, expression, 0)
 
     pointer = 0
 
     def close() -> None:
         nonlocal pointer
-        while pointer < len(order):
-            x = order[pointer]
-            xe, xh = expressions[x], heights[x]
-            for q in range(pointer + 1):
-                y = order[q]
-                ye, yh = expressions[y], heights[y]
-                h = xh if xh >= yh else yh
-                xy = x.concat(y)
-                if xy not in elements:
-                    add(xy, concat_expr(xe, ye), h)
-                if x is not y:
-                    yx = y.concat(x)
-                    if yx not in elements:
-                        add(yx, concat_expr(ye, xe), h)
+        while pointer < len(keys):
+            x = keys[pointer]
+            x_left, x_right, hx = left_form(x), right_form(x), heights[pointer]
+            shift = 64 * words * pointer
+            for j in range(k * n):
+                wide_lefts[j] |= x_left[j] << shift
+                wide_rights[j] |= x_right[j] << shift
+            xy = unpack(reduce(or_, map(mul, x_left, wide_rights)), pointer + 1)
+            yx = unpack(reduce(or_, map(mul, wide_lefts, x_right)), pointer + 1)
+            if not known.issuperset(set(xy).union(yx)):
+                # In the order x·y_0, y_0·x, x·y_1, …, each product checked
+                # when reached, after the new ones before it were added.
+                products = list(chain.from_iterable(zip(xy, yx)))
+                unknown = map(not_, map(known.__contains__, products))
+                for i in compress(count(), unknown):
+                    q = i >> 1
+                    source = (q, pointer) if i & 1 else (pointer, q)
+                    add(products[i], source, max(hx, heights[q]))
             pointer += 1
+
+    def is_idempotent(key: int) -> bool:
+        return reduce(or_, map(mul, left_form(key), right_form(key))) == key
+
+    def iterate(key: int) -> int:
+        rows = right_form(key)
+        recurrent = 0
+        for s in range(n):
+            row = rows[s]
+            if all(rows[t] >> s & 1 for t in range(n) if row >> t & 1):
+                recurrent |= 1 << s
+        return key & ~((full ^ recurrent) * spread)
 
     close()
     level = 0
     while True:
-        batch = [u for u in order if heights[u] == level and u.is_idempotent()]
+        batch = [
+            i
+            for i, h in enumerate(heights)
+            if h == level and is_idempotent(keys[i])
+        ]
         grew = False
-        for u in batch:
-            v = u.iterate()
-            if v not in elements:
-                add(v, iterate_expr(expressions[u]), level + 1)
+        for i in batch:
+            v = iterate(keys[i])
+            if v not in known:
+                add(v, i, level + 1)
                 grew = True
         if not grew:
             break
         close()
         level += 1
-    return tuple(order), expressions, heights
+
+    expressions: list[SharpExpression] = []
+    for source in sources:
+        if isinstance(source, tuple):
+            p, q = source
+            expressions.append(concat_expr(expressions[p], expressions[q]))
+        elif isinstance(source, int):
+            expressions.append(iterate_expr(expressions[source]))
+        else:
+            expressions.append(source)
+    return map(right_form, keys), expressions, heights
 
 
 # ---------------------------------------------------------------------------
@@ -141,17 +235,18 @@ class MonoidClosure:
 def markov_monoid(automaton: Automaton, cap: int = DEFAULT_CAP) -> MonoidClosure:
     """Saturate the letter abstractions under concatenation and iterates."""
     dim = len(automaton.states)
-    identity = (LimitWord.identity(dim), epsilon_expr(dim))
-    generators = []
+    epsilon = epsilon_expr(dim)
+    seeds = [((epsilon.word,), epsilon)]
     for letter in automaton.alphabet:
         expression = letter_expr(automaton, letter)
-        generators.append((expression.word, expression))
-    order, expressions, heights = _saturate(identity, generators, cap)
+        seeds.append(((expression.word,), expression))
+    rows, expressions, heights = saturate(seeds, cap)
+    elements = tuple(LimitWord(dim, word) for word in rows)
     return MonoidClosure(
         automaton=automaton,
-        elements=order,
-        provenance=expressions,
-        heights=heights,
+        elements=elements,
+        provenance=dict(zip(elements, expressions)),
+        heights=dict(zip(elements, heights)),
     )
 
 

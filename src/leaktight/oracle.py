@@ -24,7 +24,7 @@ from .errors import CapExceeded, ValidationError
 from .leaks import ExtendedClosure, ExtendedLimitWord, find_leak_witness
 from .limitword import LimitWord
 from .monoid import MonoidClosure
-from .sharpexpr import Concat, Epsilon, Iterate, Letter, SharpExpression
+from .sharpexpr import Concat, Epsilon, Letter, SharpExpression
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -537,14 +537,6 @@ def check_consistency(
 # Lower bound: supports exactly, positive entries not too small
 
 
-def _expression_depth(node: SharpExpression) -> int:
-    if isinstance(node, (Epsilon, Letter)):
-        return 0
-    if isinstance(node, Concat):
-        return 1 + max(_expression_depth(node.left), _expression_depth(node.right))
-    return 1 + _expression_depth(node.child)
-
-
 @dataclass(frozen=True)
 class LowerBoundEntry:
     s: int
@@ -634,7 +626,7 @@ def check_lower_bound(
                     bits |= 1 << t
             support_rows.append(bits)
         support_exact = tuple(support_rows) == element.support.rows
-        depth = _expression_depth(expression)
+        depth = expression.depth
         exponent = 2**depth
         entries = []
         for s in range(dim):
