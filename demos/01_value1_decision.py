@@ -20,10 +20,7 @@ def describe(name, automaton):
     print(f"== {name} ==")
     print(f"states:    {', '.join(automaton.states)}")
     print(f"alphabet:  {', '.join(automaton.alphabet)}")
-    if report.leaktight is None:
-        print("leaktight: not checked (a witness settles the question)")
-    else:
-        print(f"leaktight: {report.leaktight}")
+    print(f"leaktight: {report.leaktight}")
     if report.value1:
         expr = report.certificate.witness
         print(f"value 1:   yes, witnessed by {expr.render()}")

@@ -8,6 +8,7 @@ default and are byte-identical across runs up to the trailing timing field.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -41,22 +42,6 @@ from .reduction import (
 )
 
 __all__ = ["main"]
-
-DEFAULT_SEED = 0
-
-SUBCOMMANDS = (
-    "validate",
-    "value1",
-    "leaktight",
-    "monoid",
-    "extended-monoid",
-    "sharp-height",
-    "classify",
-    "compose",
-    "reduce",
-    "estimate-value",
-    "reify-check",
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -120,16 +105,13 @@ def _run_validate(args: argparse.Namespace) -> dict:
 
 def _run_value1(args: argparse.Namespace) -> dict:
     automaton = _read_automaton(args.input)
-    extended = extended_markov_monoid(automaton, args.cap)
-    leak = find_leak_witness(extended)
-    report = decide_value1(automaton, args.cap, extended=extended)
-    leaktight = "yes" if leak is None else "no"
+    report = decide_value1(automaton, args.cap)
     body: dict = {"digest": _digest(automaton)}
     if report.value1:
         body["value1"] = "yes"
         body["witness"] = report.certificate.witness.render()
     else:
-        body["value1"] = "no-with-bound" if leak is None else "no-unreliable"
+        body["value1"] = "no-with-bound" if report.leaktight else "no-unreliable"
         bound = report.certificate.bound
         body["witness"] = None
         body["p_min"] = str(bound.p_min)
@@ -137,7 +119,7 @@ def _run_value1(args: argparse.Namespace) -> dict:
         body["bound_height"] = bound.height
         body["bound"] = bound.formula
         body["note"] = report.certificate.note
-    body["leaktight"] = leaktight
+    body["leaktight"] = "yes" if report.leaktight else "no"
     return body
 
 
@@ -350,16 +332,13 @@ def _fraction_flag(text: str) -> Fraction:
         raise ValidationError(f"not a rational: {text!r}") from None
 
 
+@functools.cache
 def _build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    common.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    common.add_argument("--max-len", type=int, default=None)
-    common.add_argument("--bind", action="append", metavar="NAME=NAT")
-    common.add_argument("--eps", type=_fraction_flag, default=Fraction(1, 1000))
-    common.add_argument("--delta", type=_fraction_flag, default=Fraction(1, 100))
+    """The argument parser, built once per process.
 
+    Building it costs more than deciding a small automaton.  Each
+    subcommand registers only the flags its handler reads.
+    """
     parser = _Parser(
         prog="leaktight",
         description=(
@@ -369,20 +348,28 @@ def _build_parser() -> _Parser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        return subparsers.add_parser(name, parents=[common], help=help_text)
+    def add(
+        name: str, help_text: str, *, cap: bool = True
+    ) -> argparse.ArgumentParser:
+        sub = subparsers.add_parser(name, help=help_text)
+        sub.add_argument("--format", choices=("json", "text"), default="json")
+        if cap:
+            sub.add_argument("--cap", type=int, default=DEFAULT_CAP)
+        return sub
 
     for name in ("validate", "value1", "leaktight", "monoid",
                  "extended-monoid", "sharp-height", "classify"):
-        sub = add(name, f"run {name} on an automaton")
+        sub = add(name, f"run {name} on an automaton", cap=name != "validate")
         sub.add_argument("input", help="interchange JSON file, or - for stdin")
 
-    compose = add("compose", "combine two automata")
+    compose = add("compose", "combine two automata", cap=False)
     compose.add_argument("mode", choices=("parallel", "product"))
     compose.add_argument("left", help="interchange JSON file")
     compose.add_argument("right", help="interchange JSON file")
 
-    reduce_sub = add("reduce", "single-transition and coin-gadget constructions")
+    reduce_sub = add(
+        "reduce", "single-transition and coin-gadget constructions", cap=False
+    )
     reduce_sub.add_argument("mode", choices=("basic", "full", "third"))
     reduce_sub.add_argument("input", help="interchange JSON file, or - for stdin")
 
@@ -394,9 +381,14 @@ def _build_parser() -> _Parser:
         default=None,
         help="word-family template, e.g. '(b a^n)^m' with --bind n=7 --bind m=200",
     )
+    estimate.add_argument("--max-len", type=int, default=None)
+    estimate.add_argument("--bind", action="append", metavar="NAME=NAT")
 
     reify = add("reify-check", "reify closure expressions and check thresholds")
     reify.add_argument("input", help="interchange JSON file, or - for stdin")
+    reify.add_argument("--bind", action="append", metavar="NAME=NAT")
+    reify.add_argument("--eps", type=_fraction_flag, default=Fraction(1, 1000))
+    reify.add_argument("--delta", type=_fraction_flag, default=Fraction(1, 100))
 
     return parser
 
@@ -416,15 +408,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(arguments)
-        if not 0 <= args.seed < 2**64:
-            raise ValidationError("--seed must fit in 64 bits")
-        if args.cap < 1:
+        if getattr(args, "cap", DEFAULT_CAP) < 1:
             raise ValidationError("--cap must be positive")
-        if args.max_len is not None and args.max_len < 0:
+        if getattr(args, "max_len", None) is not None and args.max_len < 0:
             raise ValidationError("--max-len must be nonnegative")
         started = time.perf_counter()
         body = _HANDLERS[args.command](args)
-        report = {"command": args.command, "argv": arguments, "seed": args.seed}
+        report = {"command": args.command, "argv": arguments}
         report.update(body)
         report["elapsed_ms"] = round((time.perf_counter() - started) * 1000, 3)
     except ValidationError as exc:

@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 from .automaton import Automaton
 from .errors import ValidationError
 from .limitword import LimitWord
-from .monoid import DEFAULT_CAP, MonoidClosure, saturate
+from .monoid import DEFAULT_CAP, saturate
 from .sharpexpr import SharpExpression, epsilon_expr, letter_expr
 
 __all__ = [
@@ -90,28 +90,6 @@ class ExtendedClosure:
     def projection(self) -> frozenset[LimitWord]:
         """The set of limit-word components of the pairs."""
         return frozenset(pair.word for pair in self.elements)
-
-    def project(self) -> MonoidClosure:
-        """Collapse pairs to their limit words, keeping the least heights."""
-        elements: list[LimitWord] = []
-        provenance: dict[LimitWord, SharpExpression] = {}
-        heights: dict[LimitWord, int] = {}
-        for pair in self.elements:
-            u = pair.word
-            h = self.heights[pair]
-            if u not in heights:
-                elements.append(u)
-                provenance[u] = self.provenance[pair]
-                heights[u] = h
-            elif h < heights[u]:
-                provenance[u] = self.provenance[pair]
-                heights[u] = h
-        return MonoidClosure(
-            automaton=self.automaton,
-            elements=tuple(elements),
-            provenance=provenance,
-            heights=heights,
-        )
 
 
 def extended_markov_monoid(

@@ -325,22 +325,23 @@ class Value1Report:
     value1: bool
     certificate: Certificate
     closure: MonoidClosure
-    leaktight: Optional[bool] = None
+    leaktight: bool
 
 
-def decide_value1(
-    automaton: Automaton,
-    cap: int = DEFAULT_CAP,
-    extended=None,
-) -> Value1Report:
-    """Decide whether the automaton has value 1.
+def decide_value1(automaton: Automaton, cap: int = DEFAULT_CAP) -> Value1Report:
+    """Decide whether the automaton has value 1, and whether it is leaktight.
 
     A found witness is always conclusive.  The negative answer comes with a
     symbolic upper bound and is guaranteed only if the automaton is
-    leaktight, which is checked on the extended closure (computed here
-    unless one is passed in).
+    leaktight.  The leak verdict is always returned: the plain and the
+    extended closure are each built once, and the extended one is searched
+    once for a leak.
     """
+    from .leaks import extended_markov_monoid, find_leak_witness
+
     closure = markov_monoid(automaton, cap)
+    extended = extended_markov_monoid(automaton, cap)
+    leaktight = find_leak_witness(extended) is None
     witness = find_value1_witness(closure)
     if witness is not None:
         certificate = Certificate(
@@ -348,27 +349,20 @@ def decide_value1(
             witness=closure.provenance[witness],
             element=witness,
         )
-        return Value1Report(
-            value1=True, certificate=certificate, closure=closure
+    else:
+        certificate = Certificate(
+            kind="no-witness",
+            bound=UpperBound(
+                p_min=automaton.min_transition_probability,
+                monoid_size=len(extended.elements),
+            ),
+            note="guaranteed only if leaktight",
         )
-    from .leaks import extended_markov_monoid, find_leak_witness
-
-    ext = extended if extended is not None else extended_markov_monoid(automaton, cap)
-    bound = UpperBound(
-        p_min=automaton.min_transition_probability,
-        monoid_size=len(ext.elements),
-    )
-    leak = find_leak_witness(ext)
-    certificate = Certificate(
-        kind="no-witness",
-        bound=bound,
-        note="guaranteed only if leaktight",
-    )
     return Value1Report(
-        value1=False,
+        value1=witness is not None,
         certificate=certificate,
         closure=closure,
-        leaktight=leak is None,
+        leaktight=leaktight,
     )
 
 

@@ -7,13 +7,14 @@ import os
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
 import leaktight
-from leaktight import automaton_to_json
+from leaktight import automaton_to_json, cli, leaks, monoid
 from leaktight.cli import main
 from leaktight.zoo import det1, fig1, fig3, rnd3, sink
 
@@ -52,7 +53,6 @@ def test_report_envelope_fields(capsys, fixture_file) -> None:
     report = run_json(capsys, ["validate", path])
     assert report["command"] == "validate"
     assert report["argv"] == ["validate", path]
-    assert report["seed"] == 0
     assert report["digest"] == {"states": 2, "letters": 2, "p_min": "1/2"}
     assert "elapsed_ms" in report
 
@@ -64,12 +64,6 @@ def test_reports_are_reproducible_modulo_timing(capsys, fixture_file) -> None:
     first.pop("elapsed_ms")
     second.pop("elapsed_ms")
     assert json.dumps(first) == json.dumps(second)
-
-
-def test_seed_is_echoed(capsys, fixture_file) -> None:
-    path = fixture_file("fig3")
-    report = run_json(capsys, ["validate", path, "--seed", "42"])
-    assert report["seed"] == 42
 
 
 def test_text_format(capsys, fixture_file) -> None:
@@ -103,6 +97,42 @@ def test_value1_no_unreliable(capsys, fixture_file, tmp_path) -> None:
     report = run_json(capsys, ["value1", path])
     assert report["value1"] == "no-unreliable"
     assert report["leaktight"] == "no"
+
+
+@pytest.mark.parametrize("name", ["fig3", "sink"])
+def test_value1_does_each_piece_of_work_once(
+    capsys, fixture_file, monkeypatch, name
+) -> None:
+    """One plain closure, one extended closure and one leak search per run.
+
+    Each function is counted both where it is defined and where
+    `leaktight.cli` binds it, so a handler that calls one itself is counted.
+    """
+    calls: Counter = Counter()
+
+    def counted(attr: str, original):
+        def wrapper(*args, **kwargs):
+            calls[attr] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module, attr in (
+        (monoid, "markov_monoid"),
+        (leaks, "extended_markov_monoid"),
+        (leaks, "find_leak_witness"),
+    ):
+        wrapper = counted(attr, getattr(module, attr))
+        monkeypatch.setattr(module, attr, wrapper)
+        monkeypatch.setattr(cli, attr, wrapper)
+    path = fixture_file(name)
+    report = run_json(capsys, ["value1", path])
+    assert report["value1"] == ("yes" if name == "fig3" else "no-with-bound")
+    assert calls == {
+        "markov_monoid": 1,
+        "extended_markov_monoid": 1,
+        "find_leak_witness": 1,
+    }
 
 
 def test_leaktight_subcommand(capsys, fixture_file) -> None:
@@ -190,6 +220,22 @@ def test_reify_check_subcommand(capsys, fixture_file) -> None:
     assert report["consistent"] is True
     assert report["n"] == 12
     assert report["lower_bound"]["ok"] is True
+    tuned = run_json(
+        capsys,
+        [
+            "reify-check",
+            fixture_file("fig3"),
+            "--bind",
+            "n=4",
+            "--eps",
+            "1/100",
+            "--delta",
+            "1/10",
+        ],
+    )
+    assert tuned["n"] == 4
+    assert tuned["zero_eps"] == "1/100"
+    assert tuned["one_delta"] == "1/10"
 
 
 def test_stdin_input(tmp_path, capsys, monkeypatch) -> None:
@@ -245,13 +291,41 @@ def test_unknown_subcommand_is_exit_1(capsys) -> None:
 
 def test_bad_flag_values_are_exit_1(capsys, fixture_file) -> None:
     path = fixture_file("fig3")
-    assert main(["validate", path, "--seed", "-3"]) == 1
-    capsys.readouterr()
-    assert main(["validate", path, "--cap", "0"]) == 1
-    capsys.readouterr()
+    assert main(["value1", path, "--cap", "0"]) == 1
+    assert capsys.readouterr().err == "error: --cap must be positive\n"
+    assert main(["estimate-value", path, "--max-len", "-1"]) == 1
+    assert capsys.readouterr().err == "error: --max-len must be nonnegative\n"
     assert main(["estimate-value", path, "a^n", "--bind", "n=x"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["value1", "{path}", "--eps", "1/2"],
+        ["validate", "{path}", "--cap", "5"],
+        ["monoid", "{path}", "--bind", "n=3"],
+        ["value1", "{path}", "--seed", "0"],
+    ],
+)
+def test_flag_on_a_subcommand_that_does_not_read_it_is_exit_1(
+    capsys, fixture_file, argv
+) -> None:
+    path = fixture_file("fig3")
+    assert main([part.format(path=path) for part in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_parser_is_built_once_and_keeps_no_bindings(capsys, fixture_file) -> None:
+    assert cli._build_parser() is cli._build_parser()
+    path = fixture_file("fig3")
+    first = run_json(capsys, ["estimate-value", path, "a^n", "--bind", "n=3"])
+    second = run_json(capsys, ["estimate-value", path, "a^m", "--bind", "m=2"])
+    assert first["bindings"] == {"n": 3}
+    assert second["bindings"] == {"m": 2}
 
 
 def test_bad_family_template_is_exit_1(capsys, fixture_file) -> None:

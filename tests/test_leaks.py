@@ -98,15 +98,6 @@ def test_projection_property_on_corpus() -> None:
         )
 
 
-def test_project_keeps_least_heights() -> None:
-    ext = extended_markov_monoid(fig3())
-    projected = ext.project()
-    direct = markov_monoid(fig3())
-    assert set(projected.elements) == set(direct.elements)
-    for u in direct.elements:
-        assert projected.heights[u] == direct.heights[u]
-
-
 def test_word_below_support_on_corpus() -> None:
     for seed in range(60):
         for pair in seeded_extended(seed).elements:

@@ -104,6 +104,7 @@ def test_decide_value1_fig3() -> None:
     assert report.value1
     assert report.certificate.kind == "value1"
     assert report.certificate.witness is not None
+    assert report.leaktight is True
 
 
 def test_decide_value1_negative_carries_bound_and_note() -> None:
