@@ -3,24 +3,40 @@
 An automaton is a tuple (states, alphabet, one row-stochastic matrix per letter,
 initial state, final states).  All probabilities are `fractions.Fraction`; there
 is no floating point anywhere in the model.
+
+Products, powers and distribution steps are computed on a scaled form: a
+matrix (or distribution) is a tuple of int numerators over one common
+denominator, reduced once per product with a single `math.gcd`.  The reduced
+form is unique, so it can be compared and hashed as it is.  The `Fraction`
+functions convert at the boundary.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ValidationError
 
 __all__ = [
     "Matrix",
+    "ScaledMatrix",
+    "ScaledVector",
     "Automaton",
     "identity_matrix",
     "matrix_product",
     "matrix_power",
+    "unscale_matrix",
+    "scale_vector",
+    "scaled_identity",
+    "scaled_product",
+    "scaled_power",
     "parse_automaton",
     "automaton_from_json",
     "automaton_to_json",
@@ -30,6 +46,13 @@ __all__ = [
 ]
 
 Matrix = tuple[tuple[Fraction, ...], ...]
+# (numerator rows, denominator): entry (s, t) is rows[s][t] / denominator,
+# with gcd(denominator, *entries) == 1.
+ScaledMatrix = tuple[tuple[tuple[int, ...], ...], int]
+# (numerators, denominator), reduced the same way.
+ScaledVector = tuple[tuple[int, ...], int]
+# Per source state, the (target, numerator) pairs with a nonzero numerator.
+_SparseRows = tuple[tuple[tuple[int, int], ...], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -41,27 +64,92 @@ def identity_matrix(dim: int) -> Matrix:
     )
 
 
-def matrix_product(left: Matrix, right: Matrix) -> Matrix:
-    dim = len(left)
-    cols = tuple(zip(*right))
-    return tuple(
-        tuple(sum(row[k] * col[k] for k in range(dim)) for col in cols)
-        for row in left
+def _reduced_rows(
+    rows: tuple[tuple[int, ...], ...], denominator: int
+) -> ScaledMatrix:
+    g = math.gcd(denominator, *chain.from_iterable(rows))
+    if g == 1:
+        return rows, denominator
+    return tuple(tuple(x // g for x in row) for row in rows), denominator // g
+
+
+def _reduced_vector(numerators: Sequence[int], denominator: int) -> ScaledVector:
+    g = math.gcd(denominator, *numerators)
+    if g == 1:
+        return tuple(numerators), denominator
+    return tuple(x // g for x in numerators), denominator // g
+
+
+def scale_vector(entries: Sequence[Fraction]) -> ScaledVector:
+    """Rationals as numerators over their least common denominator."""
+    denominator = math.lcm(*(entry.denominator for entry in entries))
+    return (
+        tuple(
+            entry.numerator * (denominator // entry.denominator) for entry in entries
+        ),
+        denominator,
     )
 
 
-def matrix_power(matrix: Matrix, exponent: int) -> Matrix:
+def _scale_matrix(matrix: Matrix) -> ScaledMatrix:
+    denominator = math.lcm(*(entry.denominator for row in matrix for entry in row))
+    return (
+        tuple(
+            tuple(
+                entry.numerator * (denominator // entry.denominator) for entry in row
+            )
+            for row in matrix
+        ),
+        denominator,
+    )
+
+
+def unscale_matrix(matrix: ScaledMatrix) -> Matrix:
+    rows, denominator = matrix
+    return tuple(tuple(Fraction(x, denominator) for x in row) for row in rows)
+
+
+def scaled_identity(dim: int) -> ScaledMatrix:
+    return (
+        tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim)),
+        1,
+    )
+
+
+def scaled_product(left: ScaledMatrix, right: ScaledMatrix) -> ScaledMatrix:
+    (a, da), (b, db) = left, right
+    cols = tuple(zip(*b))
+    return _reduced_rows(
+        tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a),
+        da * db,
+    )
+
+
+def scaled_power(matrix: ScaledMatrix, exponent: int) -> ScaledMatrix:
+    """matrix ** exponent by square-and-multiply."""
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    result = identity_matrix(len(matrix))
+    result = None
     base = matrix
     e = exponent
     while e:
         if e & 1:
-            result = matrix_product(result, base)
-        base = matrix_product(base, base) if e > 1 else base
+            result = base if result is None else scaled_product(result, base)
         e >>= 1
+        if e:
+            base = scaled_product(base, base)
+    if result is None:
+        rows, _ = matrix
+        return scaled_identity(len(rows))
     return result
+
+
+def matrix_product(left: Matrix, right: Matrix) -> Matrix:
+    return unscale_matrix(scaled_product(_scale_matrix(left), _scale_matrix(right)))
+
+
+def matrix_power(matrix: Matrix, exponent: int) -> Matrix:
+    return unscale_matrix(scaled_power(_scale_matrix(matrix), exponent))
 
 
 def _check_name(name: object, what: str) -> str:
@@ -151,27 +239,57 @@ class Automaton:
             if entry > 0
         )
 
-    def matrix(self, letter: str) -> Matrix:
+    @cached_property
+    def _scaled_letters(self) -> tuple[ScaledMatrix, ...]:
+        return tuple(_scale_matrix(matrix) for matrix in self.matrices)
+
+    @cached_property
+    def _sparse_letters(self) -> tuple[tuple[_SparseRows, int], ...]:
+        """Per letter: its sparse rows and its common denominator."""
+        return tuple(
+            (
+                tuple(
+                    tuple((t, x) for t, x in enumerate(row) if x) for row in rows
+                ),
+                denominator,
+            )
+            for rows, denominator in self._scaled_letters
+        )
+
+    def _letter(self, letter: str) -> int:
         try:
-            return self.matrices[self.letter_index[letter]]
+            return self.letter_index[letter]
         except KeyError:
             raise ValidationError(f"unknown letter {letter!r}") from None
 
+    def matrix(self, letter: str) -> Matrix:
+        return self.matrices[self._letter(letter)]
+
+    def scaled_matrix(self, letter: str) -> ScaledMatrix:
+        return self._scaled_letters[self._letter(letter)]
+
     def word_matrix(self, word: Iterable[str]) -> Matrix:
         """Exact product of the letter matrices of `word` (identity for the empty word)."""
-        result = identity_matrix(len(self.states))
+        result = scaled_identity(len(self.states))
         for letter in word:
-            result = matrix_product(result, self.matrix(letter))
-        return result
+            result = scaled_product(result, self.scaled_matrix(letter))
+        return unscale_matrix(result)
+
+    def scaled_step(self, distribution: ScaledVector, letter: str) -> ScaledVector:
+        """`step` on a scaled distribution, over the letter's nonzero entries."""
+        rows, letter_denominator = self._sparse_letters[self._letter(letter)]
+        numerators, denominator = distribution
+        successor = [0] * len(numerators)
+        for x, row in zip(numerators, rows):
+            if x:
+                for t, p in row:
+                    successor[t] += x * p
+        return _reduced_vector(successor, denominator * letter_denominator)
 
     def step(self, distribution: tuple[Fraction, ...], letter: str) -> tuple[Fraction, ...]:
         """One letter of evolution of a distribution row vector."""
-        matrix = self.matrix(letter)
-        dim = len(self.states)
-        return tuple(
-            sum(distribution[s] * matrix[s][t] for s in range(dim) if distribution[s])
-            for t in range(dim)
-        )
+        numerators, denominator = self.scaled_step(scale_vector(distribution), letter)
+        return tuple(Fraction(x, denominator) for x in numerators)
 
     def initial_distribution(self) -> tuple[Fraction, ...]:
         i = self.state_index[self.initial]
@@ -182,10 +300,11 @@ class Automaton:
 
     def acceptance_probability(self, word: Iterable[str]) -> Fraction:
         """Probability that reading `word` from the initial state ends in a final state."""
-        distribution = self.initial_distribution()
+        distribution = scale_vector(self.initial_distribution())
         for letter in word:
-            distribution = self.step(distribution, letter)
-        return self.acceptance_of(distribution)
+            distribution = self.scaled_step(distribution, letter)
+        numerators, denominator = distribution
+        return Fraction(sum(numerators[f] for f in self.final_indices), denominator)
 
 
 # ---------------------------------------------------------------------------

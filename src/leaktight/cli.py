@@ -329,7 +329,7 @@ def _fraction_flag(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ValidationError(f"not a rational: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 
 
 @functools.cache

@@ -16,9 +16,12 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 from .automaton import (
     Automaton,
     Matrix,
-    identity_matrix,
-    matrix_power,
-    matrix_product,
+    ScaledMatrix,
+    scale_vector,
+    scaled_identity,
+    scaled_power,
+    scaled_product,
+    unscale_matrix,
 )
 from .errors import CapExceeded, ValidationError
 from .leaks import ExtendedClosure, ExtendedLimitWord, find_leak_witness
@@ -50,8 +53,6 @@ __all__ = [
 
 DEFAULT_BUDGET = 200_000
 
-ZERO = Fraction(0)
-
 
 # ---------------------------------------------------------------------------
 # Brute force over bounded-length words
@@ -64,22 +65,26 @@ def brute_force_value(
 
     Breadth-first over state distributions with exact-rational
     deduplication: two words inducing the same distribution have the same
-    futures, so only distinct distributions are expanded.
+    futures, so only distinct distributions are expanded.  A distribution
+    is kept in its reduced scaled form, which is unique, so equal
+    distributions are equal keys.
     """
     if max_len < 0:
         raise ValidationError("max_len must be nonnegative")
-    start = automaton.initial_distribution()
-    best = automaton.acceptance_of(start)
+    final = tuple(automaton.final_indices)
+    start = scale_vector(automaton.initial_distribution())
+    # best = best_num / best_den, compared by cross-multiplication.
+    best_num, best_den = sum(start[0][f] for f in final), start[1]
     seen = {start}
     frontier = [start]
     explored = 1
     for _ in range(max_len):
-        if not frontier or best == 1:
+        if not frontier or best_num == best_den:
             break
-        next_frontier: list[tuple[Fraction, ...]] = []
+        next_frontier = []
         for distribution in frontier:
             for letter in automaton.alphabet:
-                successor = automaton.step(distribution, letter)
+                successor = automaton.scaled_step(distribution, letter)
                 if successor in seen:
                     continue
                 explored += 1
@@ -88,12 +93,13 @@ def brute_force_value(
                         f"budget exceeded: more than {budget} distributions"
                     )
                 seen.add(successor)
-                acceptance = automaton.acceptance_of(successor)
-                if acceptance > best:
-                    best = acceptance
+                numerators, denominator = successor
+                accepted = sum(numerators[f] for f in final)
+                if accepted * best_den > best_num * denominator:
+                    best_num, best_den = accepted, denominator
                 next_frontier.append(successor)
         frontier = next_frontier
-    return best
+    return Fraction(best_num, best_den)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +308,7 @@ def _family_matrix(
     node: FamilyNode,
     bindings: Mapping[str, int],
     memo: dict,
-) -> Matrix:
+) -> ScaledMatrix:
     relevant = tuple(
         sorted((k, v) for k, v in bindings.items() if k in _free_parameters(node))
     )
@@ -311,15 +317,15 @@ def _family_matrix(
     if hit is not None:
         return hit
     if isinstance(node, FamilyAtom):
-        result = automaton.matrix(node.letter)
+        result = automaton.scaled_matrix(node.letter)
     elif isinstance(node, FamilyPower):
         base = _family_matrix(automaton, node.base, bindings, memo)
-        result = matrix_power(base, _resolve_exponent(node.exponent, bindings))
+        result = scaled_power(base, _resolve_exponent(node.exponent, bindings))
     else:
         result = None
         for part in node.parts:
             block = _family_matrix(automaton, part, bindings, memo)
-            result = block if result is None else matrix_product(result, block)
+            result = block if result is None else scaled_product(result, block)
         if result is None:
             raise ValidationError("empty template")
     memo[key] = result
@@ -337,11 +343,11 @@ def evaluate_family_at(
     missing = family.parameters() - set(merged)
     if missing:
         raise ValidationError(f"unbound parameter {sorted(missing)[0]!r}")
-    matrix = _family_matrix(
+    rows, denominator = _family_matrix(
         automaton, family.template, merged, {} if memo is None else memo
     )
-    row = matrix[automaton.state_index[automaton.initial]]
-    return sum((row[f] for f in automaton.final_indices), start=ZERO)
+    row = rows[automaton.state_index[automaton.initial]]
+    return Fraction(sum(row[f] for f in automaton.final_indices), denominator)
 
 
 def evaluate_family(
@@ -428,25 +434,34 @@ def expression_matrix(
 
     Structural evaluation with fast matrix powers: equal subexpressions are
     computed once via the memo, which may be shared across calls at the
-    same n.
+    same n.  The memo holds scaled matrices (`automaton.ScaledMatrix`).
     """
+    return unscale_matrix(_expression_scaled(automaton, expression, n, memo))
+
+
+def _expression_scaled(
+    automaton: Automaton,
+    expression: SharpExpression,
+    n: int,
+    memo: Optional[dict] = None,
+) -> ScaledMatrix:
     if n < 1:
         raise ValidationError("n must be at least 1")
     table = {} if memo is None else memo
 
-    def evaluate(node: SharpExpression) -> Matrix:
+    def evaluate(node: SharpExpression) -> ScaledMatrix:
         key = (node, n)
         hit = table.get(key)
         if hit is not None:
             return hit
         if isinstance(node, Epsilon):
-            result = identity_matrix(len(automaton.states))
+            result = scaled_identity(len(automaton.states))
         elif isinstance(node, Letter):
-            result = automaton.matrix(node.name)
+            result = automaton.scaled_matrix(node.name)
         elif isinstance(node, Concat):
-            result = matrix_product(evaluate(node.left), evaluate(node.right))
+            result = scaled_product(evaluate(node.left), evaluate(node.right))
         else:
-            result = matrix_power(
+            result = scaled_power(
                 evaluate(node.child), reification_exponent(node, n)
             )
         table[key] = result
@@ -503,20 +518,34 @@ def check_consistency(
     parameter n is computed; entries claimed 0 must have measured
     probability ≤ zero_eps and entries claimed 1 must have measured
     probability ≥ one_delta.  A failing report means the check was
-    inconclusive at this n, not that the claim is refuted.
+    inconclusive at this n, not that the claim is refuted.  The thresholds
+    must satisfy 0 ≤ zero_eps < 1 and 0 < one_delta ≤ 1.
     """
+    if not 0 <= zero_eps < 1:
+        raise ValidationError(f"zero_eps must be in [0, 1), got {zero_eps}")
+    if not 0 < one_delta <= 1:
+        raise ValidationError(f"one_delta must be in (0, 1], got {one_delta}")
+    eps, delta = Fraction(zero_eps), Fraction(one_delta)
     memo: dict = {}
     reports = []
     dim = len(automaton.states)
     for element in closure.elements:
         expression = closure.provenance[element]
-        matrix = expression_matrix(automaton, expression, n, memo)
+        rows, denominator = _expression_scaled(automaton, expression, n, memo)
+        # measured = x / denominator, compared with the thresholds on ints.
+        zero_limit = eps.numerator * denominator
+        one_limit = delta.numerator * denominator
         entries = []
         for s in range(dim):
             for t in range(dim):
                 claimed = 1 if (s, t) in element else 0
-                measured = matrix[s][t]
-                ok = measured >= one_delta if claimed else measured <= zero_eps
+                x = rows[s][t]
+                measured = Fraction(x, denominator)
+                ok = (
+                    x * delta.denominator >= one_limit
+                    if claimed
+                    else x * eps.denominator <= zero_limit
+                )
                 entries.append(
                     EntryCheck(
                         s=s, t=t, claimed=claimed, measured=measured, ok=ok
@@ -617,12 +646,12 @@ def check_lower_bound(
     dim = len(automaton.states)
     reports = []
     for element, expression in targets:
-        matrix = expression_matrix(automaton, expression, n, memo)
+        rows, denominator = _expression_scaled(automaton, expression, n, memo)
         support_rows = []
         for s in range(dim):
             bits = 0
             for t in range(dim):
-                if matrix[s][t]:
+                if rows[s][t]:
                     bits |= 1 << t
             support_rows.append(bits)
         support_exact = tuple(support_rows) == element.support.rows
@@ -633,7 +662,7 @@ def check_lower_bound(
             for t in range(dim):
                 if (s, t) not in element.word:
                     continue
-                measured = matrix[s][t]
+                measured = Fraction(rows[s][t], denominator)
                 ok = _at_least_power(measured, p_min, exponent, exponent_cap)
                 entries.append(
                     LowerBoundEntry(s=s, t=t, measured=measured, ok=ok)

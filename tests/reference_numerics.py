@@ -1,0 +1,207 @@
+"""The entry-by-entry `Fraction` numerics, kept as the slow reference.
+
+`leaktight` multiplies matrices and steps distributions on integer
+numerators over one common denominator.  The functions here are the
+`Fraction` arithmetic it replaced, copied as they were (only renamed where
+they were methods or private), so that `tests/test_numerics.py` can check
+that the scaled form returns the same exact values.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Mapping, Optional
+
+from leaktight.automaton import Automaton, Matrix, identity_matrix
+from leaktight.errors import CapExceeded, ValidationError
+from leaktight.monoid import MonoidClosure
+from leaktight.oracle import (
+    DEFAULT_BUDGET,
+    FamilyAtom,
+    FamilyNode,
+    FamilyPower,
+    WordFamily,
+    _free_parameters,
+    _merged_bindings,
+    _resolve_exponent,
+    reification_exponent,
+)
+from leaktight.sharpexpr import Concat, Epsilon, Letter, SharpExpression
+
+ZERO = Fraction(0)
+
+
+def matrix_product(left: Matrix, right: Matrix) -> Matrix:
+    dim = len(left)
+    cols = tuple(zip(*right))
+    return tuple(
+        tuple(sum(row[k] * col[k] for k in range(dim)) for col in cols)
+        for row in left
+    )
+
+
+def matrix_power(matrix: Matrix, exponent: int) -> Matrix:
+    if exponent < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = identity_matrix(len(matrix))
+    base = matrix
+    e = exponent
+    while e:
+        if e & 1:
+            result = matrix_product(result, base)
+        base = matrix_product(base, base) if e > 1 else base
+        e >>= 1
+    return result
+
+
+def word_matrix(automaton: Automaton, word) -> Matrix:
+    """Exact product of the letter matrices of `word` (identity for the empty word)."""
+    result = identity_matrix(len(automaton.states))
+    for letter in word:
+        result = matrix_product(result, automaton.matrix(letter))
+    return result
+
+
+def step(
+    automaton: Automaton, distribution: tuple[Fraction, ...], letter: str
+) -> tuple[Fraction, ...]:
+    """One letter of evolution of a distribution row vector."""
+    matrix = automaton.matrix(letter)
+    dim = len(automaton.states)
+    return tuple(
+        sum(distribution[s] * matrix[s][t] for s in range(dim) if distribution[s])
+        for t in range(dim)
+    )
+
+
+def brute_force_value(
+    automaton: Automaton, max_len: int, budget: int = DEFAULT_BUDGET
+) -> Fraction:
+    """Exact maximum acceptance probability over words of length ≤ max_len."""
+    if max_len < 0:
+        raise ValidationError("max_len must be nonnegative")
+    start = automaton.initial_distribution()
+    best = automaton.acceptance_of(start)
+    seen = {start}
+    frontier = [start]
+    explored = 1
+    for _ in range(max_len):
+        if not frontier or best == 1:
+            break
+        next_frontier: list[tuple[Fraction, ...]] = []
+        for distribution in frontier:
+            for letter in automaton.alphabet:
+                successor = step(automaton, distribution, letter)
+                if successor in seen:
+                    continue
+                explored += 1
+                if explored > budget:
+                    raise CapExceeded(
+                        f"budget exceeded: more than {budget} distributions"
+                    )
+                seen.add(successor)
+                acceptance = automaton.acceptance_of(successor)
+                if acceptance > best:
+                    best = acceptance
+                next_frontier.append(successor)
+        frontier = next_frontier
+    return best
+
+
+def family_matrix(
+    automaton: Automaton,
+    node: FamilyNode,
+    bindings: Mapping[str, int],
+    memo: dict,
+) -> Matrix:
+    relevant = tuple(
+        sorted((k, v) for k, v in bindings.items() if k in _free_parameters(node))
+    )
+    key = (node, relevant)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    if isinstance(node, FamilyAtom):
+        result = automaton.matrix(node.letter)
+    elif isinstance(node, FamilyPower):
+        base = family_matrix(automaton, node.base, bindings, memo)
+        result = matrix_power(base, _resolve_exponent(node.exponent, bindings))
+    else:
+        result = None
+        for part in node.parts:
+            block = family_matrix(automaton, part, bindings, memo)
+            result = block if result is None else matrix_product(result, block)
+        if result is None:
+            raise ValidationError("empty template")
+    memo[key] = result
+    return result
+
+
+def evaluate_family_at(
+    automaton: Automaton,
+    family: WordFamily,
+    bindings: Optional[Mapping[str, int]] = None,
+) -> Fraction:
+    """Exact acceptance probability of one instantiation of the family."""
+    merged = _merged_bindings(family, bindings)
+    matrix = family_matrix(automaton, family.template, merged, {})
+    row = matrix[automaton.state_index[automaton.initial]]
+    return sum((row[f] for f in automaton.final_indices), start=ZERO)
+
+
+def expression_matrix(
+    automaton: Automaton,
+    expression: SharpExpression,
+    n: int,
+    memo: Optional[dict] = None,
+) -> Matrix:
+    """The exact transition matrix of reify(expression, n), without the word."""
+    if n < 1:
+        raise ValidationError("n must be at least 1")
+    table = {} if memo is None else memo
+
+    def evaluate(node: SharpExpression) -> Matrix:
+        key = (node, n)
+        hit = table.get(key)
+        if hit is not None:
+            return hit
+        if isinstance(node, Epsilon):
+            result = identity_matrix(len(automaton.states))
+        elif isinstance(node, Letter):
+            result = automaton.matrix(node.name)
+        elif isinstance(node, Concat):
+            result = matrix_product(evaluate(node.left), evaluate(node.right))
+        else:
+            result = matrix_power(
+                evaluate(node.child), reification_exponent(node, n)
+            )
+        table[key] = result
+        return result
+
+    return evaluate(expression)
+
+
+def consistency_entries(
+    automaton: Automaton,
+    closure: MonoidClosure,
+    n: int,
+    zero_eps: Fraction = Fraction(1, 1000),
+    one_delta: Fraction = Fraction(1, 100),
+) -> list[list[tuple[int, int, int, Fraction, bool]]]:
+    """The `Fraction` loop of `check_consistency`: (s, t, claimed, measured, ok)
+    for every entry of every element, in report order."""
+    memo: dict = {}
+    reports = []
+    dim = len(automaton.states)
+    for element in closure.elements:
+        expression = closure.provenance[element]
+        matrix = expression_matrix(automaton, expression, n, memo)
+        entries = []
+        for s in range(dim):
+            for t in range(dim):
+                claimed = 1 if (s, t) in element else 0
+                measured = matrix[s][t]
+                ok = measured >= one_delta if claimed else measured <= zero_eps
+                entries.append((s, t, claimed, measured, ok))
+        reports.append(entries)
+    return reports

@@ -300,6 +300,42 @@ def test_bad_flag_values_are_exit_1(capsys, fixture_file) -> None:
     assert err.startswith("error:")
 
 
+def test_non_rational_threshold_names_the_flag(capsys, fixture_file) -> None:
+    path = fixture_file("fig3")
+    assert main(["reify-check", path, "--eps", "x"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: argument --eps: not a rational: 'x'\n"
+    assert main(["reify-check", path, "--delta", "1/0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: argument --delta: not a rational: '1/0'\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--eps", "-1", "--delta", "5"], "zero_eps must be in [0, 1), got -1"),
+        (["--eps", "1"], "zero_eps must be in [0, 1), got 1"),
+        (["--delta", "0"], "one_delta must be in (0, 1], got 0"),
+        (["--delta", "3/2"], "one_delta must be in (0, 1], got 3/2"),
+    ],
+)
+def test_out_of_range_threshold_is_exit_1(capsys, fixture_file, flags, message) -> None:
+    assert main(["reify-check", fixture_file("fig3"), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_threshold_bounds_are_accepted(capsys, fixture_file) -> None:
+    report = run_json(
+        capsys,
+        ["reify-check", fixture_file("fig3"), "--eps", "0", "--delta", "1"],
+    )
+    assert (report["zero_eps"], report["one_delta"]) == ("0", "1")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

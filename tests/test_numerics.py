@@ -1,0 +1,250 @@
+"""The scaled-integer numerics against the `Fraction` reference.
+
+`tests/reference_numerics.py` keeps the entry-by-entry `Fraction` code that
+the library's scaled form (int numerators over one common denominator)
+replaced.  Every check here asks for identical exact values, and for the
+same `CapExceeded` messages at the same budgets.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leaktight import (
+    CapExceeded,
+    brute_force_value,
+    check_consistency,
+    check_lower_bound,
+    evaluate_family_at,
+    expression_matrix,
+    find_leak_witness,
+    markov_monoid,
+    matrix_power,
+    matrix_product,
+    parse_family,
+)
+from leaktight.reduction import reduce_full
+from leaktight.zoo import det1, fig1, fig3, hier2, rnd3, sink
+
+from . import reference_numerics as ref
+from .helpers import (
+    automata,
+    corpus,
+    seeded_automaton,
+    seeded_closure,
+    seeded_extended,
+    words_over,
+)
+
+ZOO = {
+    "fig3": fig3,
+    "det1": det1,
+    "hier2": hier2,
+    "sink": sink,
+    "rnd3": rnd3,
+    "fig1-third": lambda: fig1(F(1, 3)),
+    "fig1-half": lambda: fig1(F(1, 2)),
+    "fig1-two-thirds": lambda: fig1(F(2, 3)),
+}
+REDUCED = ("fig3", "hier2", "rnd3", "fig1-half")
+
+
+def _reduced(name: str):
+    return reduce_full(ZOO[name]()).automaton
+
+
+def _measured(reports) -> list[list[tuple]]:
+    return [
+        [(e.s, e.t, e.claimed, e.measured, e.ok) for e in report.entries]
+        for report in reports
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Reification: every measured entry of every corpus closure
+
+
+def test_consistency_matches_reference_on_corpus_at_n3() -> None:
+    for seed in corpus():
+        a, closure = seeded_automaton(seed), seeded_closure(seed)
+        assert _measured(check_consistency(a, closure, n=3)) == (
+            ref.consistency_entries(a, closure, 3)
+        ), seed
+
+
+@pytest.mark.parametrize(
+    "seeds",
+    [(265,), (279,), tuple(range(0, 500, 10))],
+    ids=["265", "279", "every-10th"],
+)
+def test_consistency_matches_reference_at_n6(seeds) -> None:
+    for seed in seeds:
+        a, closure = seeded_automaton(seed), seeded_closure(seed)
+        assert _measured(check_consistency(a, closure, n=6)) == (
+            ref.consistency_entries(a, closure, 6)
+        ), seed
+
+
+def test_lower_bound_matches_reference_on_leaktight_corpus() -> None:
+    checked = 0
+    for seed in corpus():
+        extended = seeded_extended(seed)
+        if find_leak_witness(extended) is not None:
+            continue
+        a = seeded_automaton(seed)
+        memo: dict = {}
+        for report in check_lower_bound(a, extended):
+            matrix = ref.expression_matrix(a, report.expression, report.n, memo)
+            support = tuple(
+                sum(1 << t for t, entry in enumerate(row) if entry) for row in matrix
+            )
+            assert report.support_exact == (support == report.element.support.rows)
+            assert [(e.s, e.t, e.measured) for e in report.entries] == [
+                (e.s, e.t, matrix[e.s][e.t]) for e in report.entries
+            ], seed
+            checked += 1
+    assert checked > 100
+
+
+def test_expression_matrix_matches_reference_on_fixtures() -> None:
+    for build in ZOO.values():
+        a = build()
+        closure = markov_monoid(a)
+        for n in (1, 2):
+            for element in closure.elements:
+                expression = closure.provenance[element]
+                assert expression_matrix(a, expression, n) == ref.expression_matrix(
+                    a, expression, n
+                )
+
+
+# ---------------------------------------------------------------------------
+# Word families
+
+
+FAMILY_CASES = [
+    (fig3, "(b a^n)^N", {"n": n, "N": big_n})
+    for n in (0, 1, 3)
+    for big_n in (0, 1, 4)
+] + [
+    (fig3, "a^n", {"n": n}) for n in (0, 1, 2, 3)
+] + [
+    (lambda: fig1(F(2, 3)), "(b a^n)^N", {"n": 7, "N": big_n})
+    for big_n in (1, 5, 25, 125, 200)
+] + [
+    (fig3, "a^3 b", {}),
+    (fig3, "((a b)^2 a)^k", {"k": 3}),
+]
+
+
+@pytest.mark.parametrize("build, template, bindings", FAMILY_CASES)
+def test_family_values_match_reference(build, template, bindings) -> None:
+    a, family = build(), parse_family(template)
+    assert evaluate_family_at(a, family, bindings) == ref.evaluate_family_at(
+        a, family, bindings
+    )
+
+
+# ---------------------------------------------------------------------------
+# Brute force
+
+
+@pytest.mark.parametrize("name", sorted(ZOO))
+def test_brute_force_matches_reference_on_zoo(name) -> None:
+    a = ZOO[name]()
+    for max_len in range(9):
+        assert brute_force_value(a, max_len) == ref.brute_force_value(a, max_len)
+
+
+@pytest.mark.parametrize("name", REDUCED)
+def test_brute_force_matches_reference_on_reductions(name) -> None:
+    a = _reduced(name)
+    for max_len in range(9):
+        assert brute_force_value(a, max_len) == ref.brute_force_value(a, max_len)
+
+
+def _outcome(function, automaton, max_len: int, budget: int):
+    try:
+        return function(automaton, max_len, budget)
+    except CapExceeded as exc:
+        return ("CapExceeded", str(exc))
+
+
+def _explored(automaton, max_len: int) -> int:
+    """The least budget at which the reference finishes: the number of
+    distributions it explores."""
+    low, high = 1, 1
+    while isinstance(_outcome(ref.brute_force_value, automaton, max_len, high), tuple):
+        low, high = high + 1, 2 * high
+    while low < high:
+        middle = (low + high) // 2
+        if isinstance(
+            _outcome(ref.brute_force_value, automaton, max_len, middle), tuple
+        ):
+            low = middle + 1
+        else:
+            high = middle
+    return low
+
+
+@pytest.mark.parametrize(
+    "build, max_len",
+    [(fig3, 6), (lambda: fig1(F(1, 2)), 8), (rnd3, 5), (lambda: _reduced("fig3"), 5)],
+    ids=["fig3", "fig1-half", "rnd3", "reduced-fig3"],
+)
+def test_same_cap_exceeded_around_the_explored_count(build, max_len) -> None:
+    a = build()
+    explored = _explored(a, max_len)
+    assert explored > 2
+    outcomes = []
+    for budget in (explored - 1, explored, explored + 1):
+        outcome = _outcome(brute_force_value, a, max_len, budget)
+        assert outcome == _outcome(ref.brute_force_value, a, max_len, budget)
+        outcomes.append(outcome)
+    assert outcomes[0] == (
+        "CapExceeded",
+        f"budget exceeded: more than {explored - 1} distributions",
+    )
+    assert not isinstance(outcomes[1], tuple)
+
+
+# ---------------------------------------------------------------------------
+# Drawn automata and rational matrices
+
+
+@settings(max_examples=40, deadline=None)
+@given(automata(max_states=5), st.data())
+def test_drawn_automata_match_reference(a, data) -> None:
+    word = data.draw(words_over(a, max_size=10))
+    assert a.word_matrix(word) == ref.word_matrix(a, word)
+    distribution = a.initial_distribution()
+    expected = distribution
+    for letter in word:
+        distribution = a.step(distribution, letter)
+        expected = ref.step(a, expected, letter)
+        assert distribution == expected
+    assert a.acceptance_probability(word) == a.acceptance_of(expected)
+    matrix = ref.word_matrix(a, word[:3])
+    for exponent in range(6):
+        assert matrix_power(matrix, exponent) == ref.matrix_power(matrix, exponent)
+    assert brute_force_value(a, 4) == ref.brute_force_value(a, 4)
+
+
+@st.composite
+def rational_matrix_pairs(draw):
+    dim = draw(st.integers(0, 5))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+    square = st.tuples(*[st.tuples(*[entry] * dim)] * dim)
+    return draw(square), draw(square)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_matrix_pairs(), st.integers(0, 6))
+def test_rational_matrices_match_reference(pair, exponent) -> None:
+    left, right = pair
+    assert matrix_product(left, right) == ref.matrix_product(left, right)
+    assert matrix_power(left, exponent) == ref.matrix_power(left, exponent)

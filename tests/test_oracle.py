@@ -208,6 +208,32 @@ def test_consistency_failure_is_reported_not_raised() -> None:
     assert reports[0].status == "inconclusive at n=12"
 
 
+@pytest.mark.parametrize(
+    "zero_eps, one_delta, message",
+    [
+        (F(-1, 1000), F(1, 100), "zero_eps must be in"),
+        (F(1), F(1, 100), "zero_eps must be in"),
+        (F(1, 1000), F(0), "one_delta must be in"),
+        (F(1, 1000), F(-1, 2), "one_delta must be in"),
+        (F(1, 1000), F(101, 100), "one_delta must be in"),
+    ],
+)
+def test_consistency_rejects_out_of_range_thresholds(
+    zero_eps, one_delta, message
+) -> None:
+    a = fig3()
+    with pytest.raises(ValidationError, match=message):
+        check_consistency(
+            a, markov_monoid(a), n=2, zero_eps=zero_eps, one_delta=one_delta
+        )
+
+
+def test_consistency_accepts_the_threshold_bounds() -> None:
+    a = fig3()
+    reports = check_consistency(a, markov_monoid(a), n=2, zero_eps=F(0), one_delta=F(1))
+    assert len(reports) == len(markov_monoid(a).elements)
+
+
 # ---------------------------------------------------------------------------
 # Lower bounds
 
