@@ -90,6 +90,8 @@ def _bindings(args: argparse.Namespace) -> dict[str, int]:
             raise ValidationError(f"--bind {name}: {number!r} is not a natural") from None
         if value < 0:
             raise ValidationError(f"--bind {name}: must be nonnegative")
+        if name in bindings:
+            raise ValidationError(f"--bind {name}: bound twice")
         bindings[name] = value
     return bindings
 
@@ -243,6 +245,8 @@ def _run_estimate_value(args: argparse.Namespace) -> dict:
     automaton = _read_automaton(args.input)
     body: dict = {"digest": _digest(automaton)}
     if args.template is not None:
+        if args.max_len is not None:
+            raise ValidationError("--max-len applies only without a template")
         family = parse_family(args.template)
         bindings = _bindings(args)
         value = evaluate_family_at(automaton, family, bindings)
@@ -250,6 +254,8 @@ def _run_estimate_value(args: argparse.Namespace) -> dict:
         body["bindings"] = dict(sorted(bindings.items()))
         body.update(_fraction_fields(value))
     else:
+        if args.bind:
+            raise ValidationError("--bind needs a word-family template")
         max_len = args.max_len if args.max_len is not None else 6
         value = brute_force_value(automaton, max_len, budget=args.cap)
         body["max_len"] = max_len
@@ -260,9 +266,14 @@ def _run_estimate_value(args: argparse.Namespace) -> dict:
 def _run_reify_check(args: argparse.Namespace) -> dict:
     automaton = _read_automaton(args.input)
     bindings = _bindings(args)
+    unknown = sorted(bindings.keys() - {"n"})
+    if unknown:
+        raise ValidationError(f"--bind {unknown[0]}: reify-check binds only n")
     n = bindings.get("n", 12)
     if n < 1:
         raise ValidationError("reification parameter n must be at least 1")
+    # Saturated, not derived from the extended closure: the plain
+    # saturation's expressions can be shorter, and reifying them is cheaper.
     closure = markov_monoid(automaton, args.cap)
     reports = check_consistency(
         automaton,

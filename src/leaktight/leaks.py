@@ -14,8 +14,8 @@ from typing import Mapping, Optional
 from .automaton import Automaton
 from .errors import ValidationError
 from .limitword import LimitWord
-from .monoid import DEFAULT_CAP, saturate
-from .sharpexpr import SharpExpression, epsilon_expr, letter_expr
+from .monoid import DEFAULT_CAP, MonoidClosure, letter_seeds, saturate
+from .sharpexpr import SharpExpression
 
 __all__ = [
     "ExtendedLimitWord",
@@ -91,22 +91,32 @@ class ExtendedClosure:
         """The set of limit-word components of the pairs."""
         return frozenset(pair.word for pair in self.elements)
 
+    def plain_closure(self) -> MonoidClosure:
+        """The Markov monoid, read off the word components of the pairs.
+
+        Each word keeps the height and the expression of its first pair in
+        discovery order; heights never fall in that order, so this is the
+        word's least height.
+        """
+        first: dict[LimitWord, ExtendedLimitWord] = {}
+        for pair in self.elements:
+            first.setdefault(pair.word, pair)
+        return MonoidClosure(
+            automaton=self.automaton,
+            elements=tuple(first),
+            provenance={word: self.provenance[pair] for word, pair in first.items()},
+            heights={word: self.heights[pair] for word, pair in first.items()},
+        )
+
 
 def extended_markov_monoid(
     automaton: Automaton, cap: int = DEFAULT_CAP
 ) -> ExtendedClosure:
     """Saturate letter pairs under concatenation and iterates-on-idempotents."""
     dim = len(automaton.states)
-    epsilon = epsilon_expr(dim)
-    seeds = [((epsilon.word, epsilon.word), epsilon)]
-    for letter in automaton.alphabet:
-        expression = letter_expr(automaton, letter)
-        seeds.append(((expression.word, expression.word), expression))
-    rows, expressions, heights = saturate(seeds, cap)
+    rows, expressions, heights = saturate(letter_seeds(automaton, 2), cap)
     elements = tuple(
-        ExtendedLimitWord(
-            word=LimitWord(dim, pair[:dim]), support=LimitWord(dim, pair[dim:])
-        )
+        ExtendedLimitWord(LimitWord(dim, pair[:dim]), LimitWord(dim, pair[dim:]))
         for pair in rows
     )
     return ExtendedClosure(

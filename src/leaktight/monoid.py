@@ -8,7 +8,6 @@ expression and the least number of nested iterates that can produce it.
 
 from __future__ import annotations
 
-import heapq
 import sys
 from array import array
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain, compress, count, repeat
 from operator import lshift, mul, not_, or_
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
 
 from .automaton import Automaton
 from .errors import CapExceeded, ValidationError
@@ -28,6 +27,9 @@ from .sharpexpr import (
     iterate_expr,
     letter_expr,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .leaks import ExtendedClosure
 
 __all__ = [
     "DEFAULT_CAP",
@@ -83,14 +85,17 @@ DEFAULT_CAP = 2**20
 
 
 def saturate(
-    seeds: Sequence[tuple[tuple[LimitWord, ...], SharpExpression]], cap: int
+    seeds: Sequence[tuple[tuple[LimitWord, ...], SharpExpression]],
+    cap: int,
+    max_height: int = sys.maxsize,
 ) -> tuple[Iterator[tuple[int, ...]], list[SharpExpression], list[int]]:
     """Saturate seed elements under products and iterates.
 
     `seeds` holds (components, expression) pairs, the identity first; the
-    components are limit words of one dimension.  Returns, per element in
-    discovery order, the rows of its components one after the other, its
-    expression and its least iterate-nesting height.
+    components are limit words of one dimension.  Iterates nest at most
+    `max_height` deep.  Returns, per element in discovery order, the rows
+    of its components one after the other, its expression and its least
+    iterate-nesting height; heights never fall in discovery order.
     """
     n = seeds[0][0][0].dim
     k = len(seeds[0][0])
@@ -177,7 +182,7 @@ def saturate(
 
     close()
     level = 0
-    while True:
+    while level < max_height:
         batch = [
             i
             for i, h in enumerate(heights)
@@ -232,15 +237,24 @@ class MonoidClosure:
         return max(self.heights.values())
 
 
-def markov_monoid(automaton: Automaton, cap: int = DEFAULT_CAP) -> MonoidClosure:
-    """Saturate the letter abstractions under concatenation and iterates."""
+def letter_seeds(
+    automaton: Automaton, components: int
+) -> list[tuple[tuple[LimitWord, ...], SharpExpression]]:
+    """The identity and the letters as `saturate` seeds.
+
+    Each seed repeats its word as every one of its `components`.
+    """
+    expressions = [epsilon_expr(len(automaton.states))]
+    expressions += [letter_expr(automaton, letter) for letter in automaton.alphabet]
+    return [((expression.word,) * components, expression) for expression in expressions]
+
+
+def _plain_saturation(
+    automaton: Automaton, cap: int, max_height: int = sys.maxsize
+) -> MonoidClosure:
+    """The Markov monoid's elements of iterate-nesting height ≤ `max_height`."""
+    rows, expressions, heights = saturate(letter_seeds(automaton, 1), cap, max_height)
     dim = len(automaton.states)
-    epsilon = epsilon_expr(dim)
-    seeds = [((epsilon.word,), epsilon)]
-    for letter in automaton.alphabet:
-        expression = letter_expr(automaton, letter)
-        seeds.append(((expression.word,), expression))
-    rows, expressions, heights = saturate(seeds, cap)
     elements = tuple(LimitWord(dim, word) for word in rows)
     return MonoidClosure(
         automaton=automaton,
@@ -248,6 +262,20 @@ def markov_monoid(automaton: Automaton, cap: int = DEFAULT_CAP) -> MonoidClosure
         provenance=dict(zip(elements, expressions)),
         heights=dict(zip(elements, heights)),
     )
+
+
+def markov_monoid(
+    automaton: Automaton | ExtendedClosure, cap: int = DEFAULT_CAP
+) -> MonoidClosure:
+    """Saturate the letter abstractions under concatenation and iterates.
+
+    Given the automaton's extended closure instead, nothing is saturated:
+    its word components are the Markov monoid, read off by
+    `ExtendedClosure.plain_closure`, and `cap` is not used.
+    """
+    if isinstance(automaton, Automaton):
+        return _plain_saturation(automaton, cap)
+    return automaton.plain_closure()
 
 
 def is_value1_witness(automaton: Automaton, element: LimitWord) -> bool:
@@ -333,14 +361,15 @@ def decide_value1(automaton: Automaton, cap: int = DEFAULT_CAP) -> Value1Report:
 
     A found witness is always conclusive.  The negative answer comes with a
     symbolic upper bound and is guaranteed only if the automaton is
-    leaktight.  The leak verdict is always returned: the plain and the
-    extended closure are each built once, and the extended one is searched
-    once for a leak.
+    leaktight.  The leak verdict is always returned: only the extended
+    closure is saturated, it is searched once for a leak, and the plain
+    closure the witness comes from is derived from it.
     """
     from .leaks import extended_markov_monoid, find_leak_witness
 
-    closure = markov_monoid(automaton, cap)
     extended = extended_markov_monoid(automaton, cap)
+    # Derived, not saturated; by name, so wrappers of markov_monoid see it.
+    closure = markov_monoid(extended)
     leaktight = find_leak_witness(extended) is None
     witness = find_value1_witness(closure)
     if witness is not None:
@@ -375,11 +404,6 @@ def sharp_height(automaton: Automaton, cap: int = DEFAULT_CAP) -> int:
 # Height-bounded witness search
 
 
-class _WitnessFound(Exception):
-    def __init__(self, expression: SharpExpression) -> None:
-        self.expression = expression
-
-
 def bounded_witness_search(
     automaton: Automaton,
     max_height: Optional[int] = None,
@@ -388,59 +412,18 @@ def bounded_witness_search(
     """Search for a value-1 witness using at most `max_height` nested iterates.
 
     `max_height=None` uses the number of states, which is always enough to
-    find a witness when one exists.  Elements are expanded in order of their
-    least iterate-nesting height (concatenation keeps the larger operand
-    height, an iterate adds one), and the search returns as soon as a
-    witness is offered.
+    find a witness when one exists.  The closure is saturated up to that
+    height, and the witness `find_value1_witness` picks is returned.
     """
     bound = len(automaton.states) if max_height is None else max_height
     if bound < 0:
         raise ValidationError("max_height must be nonnegative")
-    dim = len(automaton.states)
-    best: dict[LimitWord, int] = {}
-    expr_of: dict[LimitWord, SharpExpression] = {}
-    heap: list[tuple[int, int, LimitWord]] = []
-    ticket = 0
-
-    def offer(element: LimitWord, height: int, expression: SharpExpression) -> None:
-        nonlocal ticket
-        known = best.get(element)
-        if known is not None and known <= height:
-            return
-        if known is None:
-            if len(best) >= cap:
-                raise CapExceeded(
-                    f"witness search exceeded cap of {cap} elements"
-                )
-            if is_value1_witness(automaton, element):
-                raise _WitnessFound(expression)
-        best[element] = height
-        expr_of[element] = expression
-        heapq.heappush(heap, (height, ticket, element))
-        ticket += 1
-
     try:
-        offer(LimitWord.identity(dim), 0, epsilon_expr(dim))
-        for letter in automaton.alphabet:
-            expression = letter_expr(automaton, letter)
-            offer(expression.word, 0, expression)
-        while heap:
-            hx, _, x = heapq.heappop(heap)
-            if hx > best[x]:
-                continue
-            ex = expr_of[x]
-            for y in list(best):
-                hy, ey = best[y], expr_of[y]
-                h = hx if hx >= hy else hy
-                offer(x.concat(y), h, concat_expr(ex, ey))
-                offer(y.concat(x), h, concat_expr(ey, ex))
-            if hx + 1 <= bound and x.is_idempotent():
-                v = x.iterate()
-                if v != x:
-                    offer(v, hx + 1, iterate_expr(ex))
-    except _WitnessFound as found:
-        return found.expression
-    return None
+        closure = _plain_saturation(automaton, cap, bound)
+    except CapExceeded:
+        raise CapExceeded(f"witness search exceeded cap of {cap} elements") from None
+    witness = find_value1_witness(closure)
+    return None if witness is None else closure.provenance[witness]
 
 
 # ---------------------------------------------------------------------------

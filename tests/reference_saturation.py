@@ -4,16 +4,29 @@ This is the engine `markov_monoid` and `extended_markov_monoid` used before
 elements were packed into ints; it is kept here, unchanged, as the slow
 reference the packed engine is differential-tested against.  It works for
 any element type with concat / is_idempotent / iterate methods.
+
+`reference_bounded_witness_search` is the heap search
+`bounded_witness_search` ran as before it was put on the packed engine,
+also kept unchanged.
 """
 
 from __future__ import annotations
 
+import heapq
+from typing import Optional
+
 from leaktight.automaton import Automaton
-from leaktight.errors import CapExceeded
+from leaktight.errors import CapExceeded, ValidationError
 from leaktight.leaks import ExtendedClosure, ExtendedLimitWord
 from leaktight.limitword import LimitWord
-from leaktight.monoid import DEFAULT_CAP, MonoidClosure
-from leaktight.sharpexpr import concat_expr, epsilon_expr, iterate_expr, letter_expr
+from leaktight.monoid import DEFAULT_CAP, MonoidClosure, is_value1_witness
+from leaktight.sharpexpr import (
+    SharpExpression,
+    concat_expr,
+    epsilon_expr,
+    iterate_expr,
+    letter_expr,
+)
 
 
 def _saturate(identity, generators, cap: int):
@@ -111,3 +124,71 @@ def reference_extended_markov_monoid(
         provenance=expressions,
         heights=heights,
     )
+
+
+class _WitnessFound(Exception):
+    def __init__(self, expression: SharpExpression) -> None:
+        self.expression = expression
+
+
+def reference_bounded_witness_search(
+    automaton: Automaton,
+    max_height: Optional[int] = None,
+    cap: int = DEFAULT_CAP,
+) -> Optional[SharpExpression]:
+    """Search for a value-1 witness using at most `max_height` nested iterates.
+
+    `max_height=None` uses the number of states, which is always enough to
+    find a witness when one exists.  Elements are expanded in order of their
+    least iterate-nesting height (concatenation keeps the larger operand
+    height, an iterate adds one), and the search returns as soon as a
+    witness is offered.
+    """
+    bound = len(automaton.states) if max_height is None else max_height
+    if bound < 0:
+        raise ValidationError("max_height must be nonnegative")
+    dim = len(automaton.states)
+    best: dict[LimitWord, int] = {}
+    expr_of: dict[LimitWord, SharpExpression] = {}
+    heap: list[tuple[int, int, LimitWord]] = []
+    ticket = 0
+
+    def offer(element: LimitWord, height: int, expression: SharpExpression) -> None:
+        nonlocal ticket
+        known = best.get(element)
+        if known is not None and known <= height:
+            return
+        if known is None:
+            if len(best) >= cap:
+                raise CapExceeded(
+                    f"witness search exceeded cap of {cap} elements"
+                )
+            if is_value1_witness(automaton, element):
+                raise _WitnessFound(expression)
+        best[element] = height
+        expr_of[element] = expression
+        heapq.heappush(heap, (height, ticket, element))
+        ticket += 1
+
+    try:
+        offer(LimitWord.identity(dim), 0, epsilon_expr(dim))
+        for letter in automaton.alphabet:
+            expression = letter_expr(automaton, letter)
+            offer(expression.word, 0, expression)
+        while heap:
+            hx, _, x = heapq.heappop(heap)
+            if hx > best[x]:
+                continue
+            ex = expr_of[x]
+            for y in list(best):
+                hy, ey = best[y], expr_of[y]
+                h = hx if hx >= hy else hy
+                offer(x.concat(y), h, concat_expr(ex, ey))
+                offer(y.concat(x), h, concat_expr(ey, ex))
+            if hx + 1 <= bound and x.is_idempotent():
+                v = x.iterate()
+                if v != x:
+                    offer(v, hx + 1, iterate_expr(ex))
+    except _WitnessFound as found:
+        return found.expression
+    return None

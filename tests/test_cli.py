@@ -99,36 +99,68 @@ def test_value1_no_unreliable(capsys, fixture_file, tmp_path) -> None:
     assert report["leaktight"] == "no"
 
 
-@pytest.mark.parametrize("name", ["fig3", "sink"])
-def test_value1_does_each_piece_of_work_once(
-    capsys, fixture_file, monkeypatch, name
-) -> None:
-    """One plain closure, one extended closure and one leak search per run.
+# Each counted function, with the modules that bind it by name.
+COUNTED = {
+    "saturate": (monoid, leaks),
+    "markov_monoid": (monoid, cli),
+    "extended_markov_monoid": (leaks, cli),
+    "find_leak_witness": (leaks, cli),
+}
 
-    Each function is counted both where it is defined and where
-    `leaktight.cli` binds it, so a handler that calls one itself is counted.
+
+@pytest.fixture()
+def calls(monkeypatch) -> Counter:
+    """Calls of the saturation engine, each closure builder and the leak search.
+
+    Each function is counted wherever it is bound by name, so a caller that
+    reaches it through any of those modules is counted.
     """
-    calls: Counter = Counter()
+    counter: Counter = Counter()
 
     def counted(attr: str, original):
         def wrapper(*args, **kwargs):
-            calls[attr] += 1
+            counter[attr] += 1
             return original(*args, **kwargs)
 
         return wrapper
 
-    for module, attr in (
-        (monoid, "markov_monoid"),
-        (leaks, "extended_markov_monoid"),
-        (leaks, "find_leak_witness"),
-    ):
-        wrapper = counted(attr, getattr(module, attr))
-        monkeypatch.setattr(module, attr, wrapper)
-        monkeypatch.setattr(cli, attr, wrapper)
-    path = fixture_file(name)
-    report = run_json(capsys, ["value1", path])
+    for attr, (home, *others) in COUNTED.items():
+        wrapper = counted(attr, getattr(home, attr))
+        for module in (home, *others):
+            monkeypatch.setattr(module, attr, wrapper)
+    return counter
+
+
+def call_counts(calls: Counter) -> dict[str, int]:
+    return {attr: calls[attr] for attr in COUNTED}
+
+
+@pytest.mark.parametrize("name", ["fig3", "sink"])
+def test_value1_does_each_piece_of_work_once(
+    capsys, fixture_file, calls, name
+) -> None:
+    """One saturation, of the extended closure, and one leak search per run.
+
+    The plain closure is derived from the extended one: `markov_monoid` is
+    called once, on the extended closure, and saturates nothing.
+    """
+    report = run_json(capsys, ["value1", fixture_file(name)])
     assert report["value1"] == ("yes" if name == "fig3" else "no-with-bound")
-    assert calls == {
+    assert call_counts(calls) == {
+        "saturate": 1,
+        "markov_monoid": 1,
+        "extended_markov_monoid": 1,
+        "find_leak_witness": 1,
+    }
+
+
+def test_reify_check_saturates_the_closure_it_reifies(capsys, fixture_file, calls) -> None:
+    """The plain closure is saturated, for its shorter expressions; the
+    extended one is built once, for the leak check."""
+    report = run_json(capsys, ["reify-check", fixture_file("fig3")])
+    assert report["consistent"] is True
+    assert call_counts(calls) == {
+        "saturate": 2,
         "markov_monoid": 1,
         "extended_markov_monoid": 1,
         "find_leak_witness": 1,
@@ -343,6 +375,12 @@ def test_threshold_bounds_are_accepted(capsys, fixture_file) -> None:
         ["validate", "{path}", "--cap", "5"],
         ["monoid", "{path}", "--bind", "n=3"],
         ["value1", "{path}", "--seed", "0"],
+        # flags the chosen mode would ignore, and a name bound twice
+        ["estimate-value", "{path}", "--bind", "n=3"],
+        ["estimate-value", "{path}", "(a)^n", "--bind", "n=3", "--max-len", "2"],
+        ["reify-check", "{path}", "--bind", "m=3"],
+        ["estimate-value", "{path}", "(a)^n", "--bind", "n=2", "--bind", "n=3"],
+        ["reify-check", "{path}", "--bind", "n=2", "--bind", "n=3"],
     ],
 )
 def test_flag_on_a_subcommand_that_does_not_read_it_is_exit_1(

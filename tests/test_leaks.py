@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
 
 from leaktight import (
     ExtendedLimitWord,
@@ -18,7 +19,7 @@ from leaktight import (
 )
 from leaktight.zoo import det1, fig1, fig3, hier2, rnd3, sink
 
-from .helpers import seeded_automaton, seeded_extended
+from .helpers import automata, corpus, seeded_closure, seeded_extended
 
 
 # ---------------------------------------------------------------------------
@@ -82,20 +83,32 @@ def test_fig3_extended_golden() -> None:
     assert (sharp, ba) in pairs
 
 
-def test_projection_property() -> None:
-    for a in (fig3(), det1(), hier2(), rnd3(), fig1(F(1, 2))):
-        ext = extended_markov_monoid(a)
-        closure = markov_monoid(a)
-        assert ext.projection() == frozenset(closure.elements)
+def assert_projection_is_plain_closure(ext, closure) -> None:
+    """The word components are the plain closure, each at its least height."""
+    assert ext.projection() == frozenset(closure.elements)
+    derived = ext.plain_closure()
+    assert markov_monoid(ext).elements == derived.elements
+    assert frozenset(derived.elements) == frozenset(closure.elements)
+    assert derived.heights == closure.heights
+    for word, expression in derived.provenance.items():
+        assert expression.word == word
+        assert expression.height == derived.heights[word]
+
+
+@settings(max_examples=60, deadline=None)
+@given(automata())
+@example(fig3())
+@example(det1())
+@example(hier2())
+@example(rnd3())
+@example(fig1(F(1, 2)))
+def test_projection_property(a) -> None:
+    assert_projection_is_plain_closure(extended_markov_monoid(a), markov_monoid(a))
 
 
 def test_projection_property_on_corpus() -> None:
-    from .helpers import seeded_closure
-
-    for seed in range(60):
-        assert seeded_extended(seed).projection() == frozenset(
-            seeded_closure(seed).elements
-        )
+    for seed in corpus():
+        assert_projection_is_plain_closure(seeded_extended(seed), seeded_closure(seed))
 
 
 def test_word_below_support_on_corpus() -> None:

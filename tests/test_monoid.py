@@ -196,8 +196,8 @@ def test_j_leq_membership_errors() -> None:
 
 
 def test_two_sided_ideal_agrees_with_j_leq() -> None:
-    # j_leq rescans the closure per query, so keep this to small closures;
-    # the ideal shortcut is the scalable route and must agree exactly.
+    # j_leq(u, v) is one two_sided_ideal(v, closure.elements) call and a
+    # membership test; this pins the two to each other on small closures.
     checked = 0
     for seed in range(40):
         closure = seeded_closure(seed)

@@ -3,6 +3,8 @@
 Both closures must come out exactly as the reference computes them: the
 same elements in the same discovery order, the same witnessing expressions
 and the same heights, and the same `CapExceeded` when the cap is too small.
+The height-bounded witness search, which runs on the same engine, must find
+a witness exactly when the reference heap search does.
 """
 
 from __future__ import annotations
@@ -13,11 +15,19 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from leaktight import CapExceeded, extended_markov_monoid, markov_monoid
+from leaktight import (
+    CapExceeded,
+    bounded_witness_search,
+    decide_value1,
+    extended_markov_monoid,
+    is_value1_witness,
+    markov_monoid,
+)
 from leaktight.generate import random_automaton
 
 from .helpers import automata, corpus, seeded_automaton, seeded_closure, seeded_extended
 from .reference_saturation import (
+    reference_bounded_witness_search,
     reference_extended_markov_monoid,
     reference_markov_monoid,
 )
@@ -33,6 +43,11 @@ SCALING = (
     (5, 1), (5, 2), (5, 4), (5, 5),
     (6, 5),
 )
+
+
+def scaling_automaton(states: int, k: int):
+    return random_automaton(random.Random(1000 * states + k), states=states, letters=2)
+
 
 
 @functools.lru_cache(maxsize=None)
@@ -78,9 +93,7 @@ def test_extended_closure_matches_reference_on_corpus() -> None:
 
 @pytest.mark.parametrize("states,k", SCALING)
 def test_closures_match_reference_on_scaling_automata(states: int, k: int) -> None:
-    automaton = random_automaton(
-        random.Random(1000 * states + k), states=states, letters=2
-    )
+    automaton = scaling_automaton(states, k)
     for build, reference in BUILDERS.values():
         assert_same_closure(build(automaton), reference(automaton))
 
@@ -100,3 +113,78 @@ def test_closures_match_reference_on_drawn_automata(automaton) -> None:
     # 5-state closures; below it the closures are compared in full.
     for kind in BUILDERS:
         assert_same_outcome(automaton, kind, cap=200)
+
+
+# ---------------------------------------------------------------------------
+# Height-bounded witness search
+
+
+@functools.lru_cache(maxsize=None)
+def reference_search(automaton, max_height=None):
+    return reference_bounded_witness_search(automaton, max_height)
+
+
+def assert_search_matches_reference(automaton, max_height=None) -> None:
+    found = bounded_witness_search(automaton, max_height)
+    expected = reference_search(automaton, max_height)
+    assert (found is None) == (expected is None)
+    if found is not None:
+        bound = len(automaton.states) if max_height is None else max_height
+        assert is_value1_witness(automaton, found.word)
+        assert found.height <= bound
+
+
+def test_bounded_search_matches_reference_on_corpus_and_scaling_automata() -> None:
+    for seed in corpus():
+        assert_search_matches_reference(seeded_automaton(seed))
+    for states, k in SCALING:
+        assert_search_matches_reference(scaling_automaton(states, k))
+
+
+def test_value1_verdicts_match_reference_search() -> None:
+    # The decision runs on the same engine as the bounded search; the heap
+    # search shares no code with it, so it checks the verdicts independently.
+    automata = [seeded_automaton(seed) for seed in corpus()]
+    automata += [scaling_automaton(states, k) for states, k in SCALING]
+    for automaton in automata:
+        expected = reference_search(automaton) is not None
+        assert decide_value1(automaton).value1 == expected
+
+
+def test_bounded_search_matches_reference_at_every_bound() -> None:
+    for seed in range(0, 500, 5):
+        automaton = seeded_automaton(seed)
+        for bound in range(len(automaton.states) + 1):
+            assert_search_matches_reference(automaton, bound)
+
+
+def test_bounded_search_cap_message_matches_reference() -> None:
+    # Without a witness both searches visit every element up to the height
+    # bound, so both run out of room at the same caps.
+    checked = 0
+    for seed in range(0, 500, 10):
+        automaton = seeded_automaton(seed)
+        if reference_bounded_witness_search(automaton) is not None:
+            continue
+        size = len(markov_monoid(automaton).elements)
+        for cap in sorted({1, size - 1, size} - {0}):
+            outcomes = []
+            for search in (bounded_witness_search, reference_bounded_witness_search):
+                try:
+                    outcomes.append(search(automaton, cap=cap))
+                except CapExceeded as error:
+                    outcomes.append(str(error))
+            assert outcomes[0] == outcomes[1]
+            checked += 1
+    assert checked > 10
+
+
+def test_bounded_search_over_the_cap_raises_where_reference_finds_a_witness() -> None:
+    # The heap search returns the first witness it is offered, here ε, before
+    # it reaches the cap; the engine saturates up to the height bound first.
+    automaton = seeded_automaton(0)
+    cap = len(markov_monoid(automaton).elements) - 1
+    assert reference_bounded_witness_search(automaton, cap=cap).render() == "ε"
+    with pytest.raises(CapExceeded) as raised:
+        bounded_witness_search(automaton, cap=cap)
+    assert str(raised.value) == f"witness search exceeded cap of {cap} elements"
