@@ -249,6 +249,9 @@ def _run_estimate_value(args: argparse.Namespace) -> dict:
             raise ValidationError("--max-len applies only without a template")
         family = parse_family(args.template)
         bindings = _bindings(args)
+        unused = sorted(bindings.keys() - family.parameters())
+        if unused:
+            raise ValidationError(f"--bind {unused[0]}: the template does not use it")
         value = evaluate_family_at(automaton, family, bindings)
         body["family"] = args.template
         body["bindings"] = dict(sorted(bindings.items()))

@@ -476,11 +476,18 @@ def _expression_scaled(
 
 @dataclass(frozen=True)
 class EntryCheck:
+    """One checked entry; `measured` is built from its two ints when read."""
+
     s: int
     t: int
     claimed: int
-    measured: Fraction
+    numerator: int
+    denominator: int
     ok: bool
+
+    @property
+    def measured(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
 
 
 @dataclass(frozen=True)
@@ -540,17 +547,12 @@ def check_consistency(
             for t in range(dim):
                 claimed = 1 if (s, t) in element else 0
                 x = rows[s][t]
-                measured = Fraction(x, denominator)
                 ok = (
                     x * delta.denominator >= one_limit
                     if claimed
                     else x * eps.denominator <= zero_limit
                 )
-                entries.append(
-                    EntryCheck(
-                        s=s, t=t, claimed=claimed, measured=measured, ok=ok
-                    )
-                )
+                entries.append(EntryCheck(s, t, claimed, x, denominator, ok))
         reports.append(
             ReificationReport(
                 element=element,

@@ -380,6 +380,7 @@ def test_threshold_bounds_are_accepted(capsys, fixture_file) -> None:
         ["estimate-value", "{path}", "(a)^n", "--bind", "n=3", "--max-len", "2"],
         ["reify-check", "{path}", "--bind", "m=3"],
         ["estimate-value", "{path}", "(a)^n", "--bind", "n=2", "--bind", "n=3"],
+        ["estimate-value", "{path}", "(a)^n", "--bind", "n=3", "--bind", "m=2"],
         ["reify-check", "{path}", "--bind", "n=2", "--bind", "n=3"],
     ],
 )
