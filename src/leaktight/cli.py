@@ -75,7 +75,11 @@ def _word_lines(word: LimitWord, automaton: Automaton) -> list[str]:
 
 
 def _fraction_fields(value: Fraction) -> dict:
-    return {"value": str(value), "value_approx": float(value)}
+    try:
+        text = str(value)
+    except ValueError:  # more digits than int-to-str conversion allows
+        raise CapExceeded("exact value is too long to print") from None
+    return {"value": text, "value_approx": float(value)}
 
 
 def _bindings(args: argparse.Namespace) -> dict[str, int]:
@@ -169,7 +173,7 @@ def _run_extended_monoid(args: argparse.Namespace) -> dict:
     return {
         "digest": _digest(automaton),
         "size": len(closure.elements),
-        "max_height": max(closure.heights.values()),
+        "max_height": closure.max_height,
         "elements": [
             {
                 "expression": closure.provenance[element].render(),
@@ -247,6 +251,8 @@ def _run_estimate_value(args: argparse.Namespace) -> dict:
     if args.template is not None:
         if args.max_len is not None:
             raise ValidationError("--max-len applies only without a template")
+        if args.cap is not None:
+            raise ValidationError("--cap applies only without a template")
         family = parse_family(args.template)
         bindings = _bindings(args)
         unused = sorted(bindings.keys() - family.parameters())
@@ -260,7 +266,8 @@ def _run_estimate_value(args: argparse.Namespace) -> dict:
         if args.bind:
             raise ValidationError("--bind needs a word-family template")
         max_len = args.max_len if args.max_len is not None else 6
-        value = brute_force_value(automaton, max_len, budget=args.cap)
+        cap = args.cap if args.cap is not None else DEFAULT_CAP
+        value = brute_force_value(automaton, max_len, budget=cap)
         body["max_len"] = max_len
         body.update(_fraction_fields(value))
     return body
@@ -388,6 +395,7 @@ def _build_parser() -> _Parser:
     reduce_sub.add_argument("input", help="interchange JSON file, or - for stdin")
 
     estimate = add("estimate-value", "brute-force or family value estimation")
+    estimate.set_defaults(cap=None)  # bounds the brute-force search only
     estimate.add_argument("input", help="interchange JSON file, or - for stdin")
     estimate.add_argument(
         "template",
@@ -422,7 +430,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(arguments)
-        if getattr(args, "cap", DEFAULT_CAP) < 1:
+        if getattr(args, "cap", None) is not None and args.cap < 1:
             raise ValidationError("--cap must be positive")
         if getattr(args, "max_len", None) is not None and args.max_len < 0:
             raise ValidationError("--max-len must be nonnegative")

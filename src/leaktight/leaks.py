@@ -9,12 +9,12 @@ state escape to somewhere it can never return from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
 from .automaton import Automaton
 from .errors import ValidationError
 from .limitword import LimitWord
-from .monoid import DEFAULT_CAP, MonoidClosure, letter_seeds, saturate
+from .monoid import DEFAULT_CAP, Closure, MonoidClosure, saturate
 from .sharpexpr import SharpExpression
 
 __all__ = [
@@ -75,17 +75,8 @@ class ExtendedLimitWord:
         return (self.word.sort_key(), self.support.sort_key())
 
 
-@dataclass(frozen=True)
-class ExtendedClosure:
+class ExtendedClosure(Closure[ExtendedLimitWord]):
     """All extended pairs generated by an automaton's letters."""
-
-    automaton: Automaton
-    elements: tuple[ExtendedLimitWord, ...]
-    provenance: Mapping[ExtendedLimitWord, SharpExpression]
-    heights: Mapping[ExtendedLimitWord, int]
-
-    def __contains__(self, element: ExtendedLimitWord) -> bool:
-        return element in self.heights
 
     def projection(self) -> frozenset[LimitWord]:
         """The set of limit-word components of the pairs."""
@@ -113,12 +104,8 @@ def extended_markov_monoid(
     automaton: Automaton, cap: int = DEFAULT_CAP
 ) -> ExtendedClosure:
     """Saturate letter pairs under concatenation and iterates-on-idempotents."""
-    dim = len(automaton.states)
-    rows, expressions, heights = saturate(letter_seeds(automaton, 2), cap)
-    elements = tuple(
-        ExtendedLimitWord(LimitWord(dim, pair[:dim]), LimitWord(dim, pair[dim:]))
-        for pair in rows
-    )
+    pairs, expressions, heights = saturate(automaton, 2, cap)
+    elements = tuple(ExtendedLimitWord(*pair) for pair in pairs)
     return ExtendedClosure(
         automaton=automaton,
         elements=elements,

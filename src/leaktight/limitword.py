@@ -118,23 +118,13 @@ class LimitWord:
     def power_to_idempotent(self) -> LimitWord:
         """The unique idempotent power of this element.
 
-        Walks u, u², u³, … until a repeat; the cycle length is the period p
-        and the first repeated index bounds the preperiod, so the least
-        multiple of p that is ≥ the preperiod indexes an idempotent power.
+        The powers of an element of a finite monoid contain exactly one
+        idempotent; walks u, u², u³, … up to it.
         """
-        seen: dict[tuple[int, ...], int] = {}
-        powers: list[LimitWord] = []
-        current = self
-        while current.rows not in seen:
-            seen[current.rows] = len(powers)
-            powers.append(current)
-            current = current.concat(self)
-        start = seen[current.rows]  # preperiod (0-based index of u^(start+1))
-        period = len(powers) - start
-        k = period
-        while k < start + 1:
-            k += period
-        return powers[k - 1]
+        power = self
+        while not power.is_idempotent():
+            power = power.concat(self)
+        return power
 
     def recurrent_states(self) -> frozenset[int]:
         """States s with: every edge (s, t) is matched by an edge (t, s).

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import mul, or_
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Generic, Iterable, Mapping, Optional, TypeVar
 
 from .automaton import Automaton
 from .errors import CapExceeded, ValidationError
@@ -32,6 +32,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DEFAULT_CAP",
     "saturate",
+    "Closure",
     "MonoidClosure",
     "markov_monoid",
     "is_value1_witness",
@@ -55,7 +56,9 @@ DEFAULT_CAP = 2**20
 # One engine saturates both closures.  An element is a tuple of k limit
 # words over n states (k = 1 for the plain monoid; k = 2 for extended pairs,
 # word then support), packed into one int key: row s of component c is row
-# j = c·n + s, held in bits [j·n, (j+1)·n).  The componentwise product is
+# j = c·n + s, held in bits [j·n, (j+1)·n).  The keys never leave
+# `saturate`, which returns validated limit words.  The componentwise
+# product is
 #
 #     x·y = OR over j = c·n + m of ((x >> m) & S_c) * (row j of y)
 #
@@ -70,11 +73,11 @@ DEFAULT_CAP = 2**20
 # The closure is the monoid generated by the letters and, from layer h + 1
 # on, by the new iterates of the height-h idempotents.  It is enumerated on
 # its right Cayley graph (Froidure & Pin, 1997): each element, in discovery
-# order, is multiplied on the right by the generators only, and x·g gets
-# height max(h_x, h_g).  When a layer opens, its new iterates become
-# generators; the elements found before it are multiplied by those only,
-# and every later element by all generators.  Each layer is closed before
-# its iterates are taken, so heights are minimal and never fall in
+# order, is multiplied on the right by the generators only.  When a layer
+# opens, its new iterates become generators; the elements found before it
+# are multiplied by those only, and every later element by all generators.
+# An element's height is the layer that found it.  Each layer is closed
+# before its iterates are taken, so heights are minimal and never fall in
 # discovery order.
 #
 # That is |M|·|G| products instead of the |M|² of multiplying every new
@@ -89,20 +92,20 @@ DEFAULT_CAP = 2**20
 
 
 def saturate(
-    seeds: Sequence[tuple[tuple[LimitWord, ...], SharpExpression]],
+    automaton: Automaton,
+    components: int,
     cap: int,
     max_height: int = sys.maxsize,
-) -> tuple[Iterator[tuple[int, ...]], list[SharpExpression], list[int]]:
-    """Saturate seed elements under products and iterates.
+) -> tuple[list[tuple[LimitWord, ...]], list[SharpExpression], list[int]]:
+    """Saturate the automaton's letters under products and iterates.
 
-    `seeds` holds (components, expression) pairs, the identity first; the
-    components are limit words of one dimension.  Iterates nest at most
-    `max_height` deep.  Returns, per element in discovery order, the rows
-    of its components one after the other, its expression and its least
-    iterate-nesting height; heights never fall in discovery order.
+    Elements are tuples of `components` limit words; the identity and each
+    letter are seeded with their word as every component.  Iterates nest
+    at most `max_height` deep.  Returns, per element in discovery order, its
+    components, its expression and its least iterate-nesting height;
+    heights never fall in discovery order.
     """
-    n = seeds[0][0][0].dim
-    k = len(seeds[0][0])
+    n, k = len(automaton.states), components
     full = (1 << n) - 1
     spread = sum(1 << (s * n) for s in range(n))
     masks = tuple(spread << (c * n * n) for c in range(k))
@@ -127,26 +130,34 @@ def saturate(
         sources.append(source)
         heights.append(height)
 
-    for components, expression in seeds:
+    seeds = [epsilon_expr(n)]
+    seeds += [letter_expr(automaton, letter) for letter in automaton.alphabet]
+    for expression in seeds:
         key = 0
-        for j, row in enumerate(row for word in components for row in word.rows):
+        for j, row in enumerate(expression.word.rows * k):
             key |= row << (j * n)
         if key not in known:
             add(key, expression, 0)
     generators = list(range(1, len(keys)))
 
-    def close(first_new: int, old: int) -> None:
+    def close(first_new: int, old: int, height: int) -> None:
         """Multiply the elements before `old` by the generators from
-        `first_new` on, and every later element by all generators."""
-        forms = [(g, right_form(keys[g]), heights[g]) for g in generators]
+        `first_new` on, and every later element by all generators.
+
+        Every product gets the layer's `height`: the elements before `old`
+        have lower heights and meet only this layer's generators, every
+        later element belongs to this layer, and in layer 0 every element
+        and every generator has height 0.
+        """
+        forms = [(g, right_form(keys[g])) for g in generators]
         new_forms = forms[first_new:]
         pointer = 0
         while pointer < len(keys):
-            x_left, hx = left_form(keys[pointer]), heights[pointer]
-            for g, g_right, hg in new_forms if pointer < old else forms:
+            x_left = left_form(keys[pointer])
+            for g, g_right in new_forms if pointer < old else forms:
                 xg = reduce(or_, map(mul, x_left, g_right))
                 if xg not in known:
-                    add(xg, (pointer, g), max(hx, hg))
+                    add(xg, (pointer, g), height)
             pointer += 1
 
     def is_idempotent(key: int) -> bool:
@@ -161,7 +172,7 @@ def saturate(
                 recurrent |= 1 << s
         return key & ~((full ^ recurrent) * spread)
 
-    close(0, 0)
+    close(0, 0, 0)
     level = 0
     while level < max_height:
         old, first_new = len(keys), len(generators)
@@ -177,8 +188,8 @@ def saturate(
                 generators.append(len(keys) - 1)
         if len(keys) == old:
             break
-        close(first_new, old)
         level += 1
+        close(first_new, old, level)
 
     expressions: list[SharpExpression] = []
     for source in sources:
@@ -189,16 +200,24 @@ def saturate(
             expressions.append(iterate_expr(expressions[source]))
         else:
             expressions.append(source)
-    return map(right_form, keys), expressions, heights
+    spans = [slice(c * n, (c + 1) * n) for c in range(k)]
+    elements = [
+        tuple([LimitWord(n, rows[span]) for span in spans])
+        for rows in map(right_form, keys)
+    ]
+    return elements, expressions, heights
 
 
 # ---------------------------------------------------------------------------
-# The limit-word monoid
+# Closures
+
+
+E = TypeVar("E")
 
 
 @dataclass(frozen=True)
-class MonoidClosure:
-    """All limit words generated by an automaton's letters.
+class Closure(Generic[E]):
+    """All elements generated by an automaton's letters.
 
     `elements` is in discovery order, starting with the identity; each
     element has a witnessing expression in `provenance` and its least
@@ -206,11 +225,11 @@ class MonoidClosure:
     """
 
     automaton: Automaton
-    elements: tuple[LimitWord, ...]
-    provenance: Mapping[LimitWord, SharpExpression]
-    heights: Mapping[LimitWord, int]
+    elements: tuple[E, ...]
+    provenance: Mapping[E, SharpExpression]
+    heights: Mapping[E, int]
 
-    def __contains__(self, element: LimitWord) -> bool:
+    def __contains__(self, element: E) -> bool:
         return element in self.heights
 
     @property
@@ -218,25 +237,16 @@ class MonoidClosure:
         return max(self.heights.values())
 
 
-def letter_seeds(
-    automaton: Automaton, components: int
-) -> list[tuple[tuple[LimitWord, ...], SharpExpression]]:
-    """The identity and the letters as `saturate` seeds.
-
-    Each seed repeats its word as every one of its `components`.
-    """
-    expressions = [epsilon_expr(len(automaton.states))]
-    expressions += [letter_expr(automaton, letter) for letter in automaton.alphabet]
-    return [((expression.word,) * components, expression) for expression in expressions]
+class MonoidClosure(Closure[LimitWord]):
+    """All limit words generated by an automaton's letters."""
 
 
 def _plain_saturation(
     automaton: Automaton, cap: int, max_height: int = sys.maxsize
 ) -> MonoidClosure:
     """The Markov monoid's elements of iterate-nesting height ≤ `max_height`."""
-    rows, expressions, heights = saturate(letter_seeds(automaton, 1), cap, max_height)
-    dim = len(automaton.states)
-    elements = tuple(LimitWord(dim, word) for word in rows)
+    words, expressions, heights = saturate(automaton, 1, cap, max_height)
+    elements = tuple(word for (word,) in words)
     return MonoidClosure(
         automaton=automaton,
         elements=elements,
@@ -310,8 +320,8 @@ class UpperBound:
 class Certificate:
     """Outcome of the value-1 decision.
 
-    kind is one of "value1" (with a witnessing expression), "no-witness"
-    (with a symbolic upper bound), or "not-applicable".
+    kind is "value1" (with a witnessing expression) or "no-witness" (with a
+    symbolic upper bound).
     """
 
     kind: str
@@ -321,7 +331,7 @@ class Certificate:
     note: str = ""
 
     def __post_init__(self) -> None:
-        if self.kind not in ("value1", "no-witness", "not-applicable"):
+        if self.kind not in ("value1", "no-witness"):
             raise ValidationError(f"unknown certificate kind {self.kind!r}")
         if self.kind == "value1" and self.witness is None:
             raise ValidationError("value1 certificate needs a witness expression")
@@ -342,16 +352,15 @@ def decide_value1(automaton: Automaton, cap: int = DEFAULT_CAP) -> Value1Report:
 
     A found witness is always conclusive.  The negative answer comes with a
     symbolic upper bound and is guaranteed only if the automaton is
-    leaktight.  The leak verdict is always returned: only the extended
-    closure is saturated, it is searched once for a leak, and the plain
-    closure the witness comes from is derived from it.
+    leaktight.  The leak verdict is always returned: it comes from
+    `decide_leaktight`, and the plain closure the witness comes from is
+    derived from that decision's extended closure.
     """
-    from .leaks import extended_markov_monoid, find_leak_witness
+    from .leaks import decide_leaktight
 
-    extended = extended_markov_monoid(automaton, cap)
+    leak = decide_leaktight(automaton, cap)
     # Derived, not saturated; by name, so wrappers of markov_monoid see it.
-    closure = markov_monoid(extended)
-    leaktight = find_leak_witness(extended) is None
+    closure = markov_monoid(leak.closure)
     witness = find_value1_witness(closure)
     if witness is not None:
         certificate = Certificate(
@@ -364,7 +373,7 @@ def decide_value1(automaton: Automaton, cap: int = DEFAULT_CAP) -> Value1Report:
             kind="no-witness",
             bound=UpperBound(
                 p_min=automaton.min_transition_probability,
-                monoid_size=len(extended.elements),
+                monoid_size=len(leak.closure.elements),
             ),
             note="guaranteed only if leaktight",
         )
@@ -372,7 +381,7 @@ def decide_value1(automaton: Automaton, cap: int = DEFAULT_CAP) -> Value1Report:
         value1=witness is not None,
         certificate=certificate,
         closure=closure,
-        leaktight=leaktight,
+        leaktight=leak.leaktight,
     )
 
 

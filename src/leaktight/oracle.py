@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from .automaton import (
     Automaton,
@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 200_000
+# Largest exponent 2^depth that `check_lower_bound` raises p_min to.
+EXPONENT_CAP = 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -590,9 +592,7 @@ class LowerBoundReport:
         return self.support_exact and all(entry.ok for entry in self.entries)
 
 
-def _at_least_power(
-    measured: Fraction, base: Fraction, exponent: int, exponent_cap: int
-) -> bool:
+def _at_least_power(measured: Fraction, base: Fraction, exponent: int) -> bool:
     """Exact comparison measured ≥ base**exponent (base in (0, 1])."""
     if base == 1:
         return measured >= 1
@@ -600,9 +600,9 @@ def _at_least_power(
         return True
     if measured <= 0:
         return False
-    if exponent > exponent_cap:
+    if exponent > EXPONENT_CAP:
         raise CapExceeded(
-            f"budget exceeded: lower-bound exponent {exponent} > {exponent_cap}"
+            f"budget exceeded: lower-bound exponent {exponent} > {EXPONENT_CAP}"
         )
     p, q = base.numerator, base.denominator
     a, b = measured.numerator, measured.denominator
@@ -612,9 +612,7 @@ def _at_least_power(
 def check_lower_bound(
     automaton: Automaton,
     closure: ExtendedClosure,
-    expressions: Optional[Iterable[SharpExpression]] = None,
     n: int = 3,
-    exponent_cap: int = 2**20,
 ) -> list[LowerBoundReport]:
     """Check supports exactly and positive entries against p_min^(2^depth).
 
@@ -627,27 +625,11 @@ def check_lower_bound(
     if find_leak_witness(closure) is not None:
         raise ValidationError("precondition violation: leak witness present")
     p_min = automaton.min_transition_probability
-    targets: list[tuple[ExtendedLimitWord, SharpExpression]]
-    if expressions is None:
-        targets = [
-            (element, closure.provenance[element])
-            for element in closure.elements
-        ]
-    else:
-        by_expression = {
-            closure.provenance[element]: element for element in closure.elements
-        }
-        targets = []
-        for expression in expressions:
-            if expression not in by_expression:
-                raise ValidationError(
-                    "membership violation: expression not in closure provenance"
-                )
-            targets.append((by_expression[expression], expression))
     memo: dict = {}
     dim = len(automaton.states)
     reports = []
-    for element, expression in targets:
+    for element in closure.elements:
+        expression = closure.provenance[element]
         rows, denominator = _expression_scaled(automaton, expression, n, memo)
         support_rows = []
         for s in range(dim):
@@ -665,7 +647,7 @@ def check_lower_bound(
                 if (s, t) not in element.word:
                     continue
                 measured = Fraction(rows[s][t], denominator)
-                ok = _at_least_power(measured, p_min, exponent, exponent_cap)
+                ok = _at_least_power(measured, p_min, exponent)
                 entries.append(
                     LowerBoundEntry(s=s, t=t, measured=measured, ok=ok)
                 )

@@ -378,6 +378,7 @@ def test_threshold_bounds_are_accepted(capsys, fixture_file) -> None:
         # flags the chosen mode would ignore, and a name bound twice
         ["estimate-value", "{path}", "--bind", "n=3"],
         ["estimate-value", "{path}", "(a)^n", "--bind", "n=3", "--max-len", "2"],
+        ["estimate-value", "{path}", "(a)^n", "--bind", "n=3", "--cap", "5"],
         ["reify-check", "{path}", "--bind", "m=3"],
         ["estimate-value", "{path}", "(a)^n", "--bind", "n=2", "--bind", "n=3"],
         ["estimate-value", "{path}", "(a)^n", "--bind", "n=3", "--bind", "m=2"],
@@ -392,6 +393,14 @@ def test_flag_on_a_subcommand_that_does_not_read_it_is_exit_1(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+def test_value_too_long_to_print_is_exit_2(capsys, fixture_file) -> None:
+    path = fixture_file("fig3")
+    assert main(["estimate-value", path, "(a)^n", "--bind", "n=20000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "resource cap: exact value is too long to print\n"
 
 
 def test_parser_is_built_once_and_keeps_no_bindings(capsys, fixture_file) -> None:

@@ -271,14 +271,3 @@ def test_lower_bound_entries_cover_claimed_edges() -> None:
         p_min = a.min_transition_probability
         for entry in report.entries:
             assert entry.measured >= p_min ** (2**report.depth)
-
-
-def test_lower_bound_expression_selection() -> None:
-    a = fig3()
-    ext = extended_markov_monoid(a)
-    chosen = [ext.provenance[ext.elements[0]]]
-    reports = check_lower_bound(a, ext, expressions=chosen, n=2)
-    assert len(reports) == 1
-    foreign = parse_expression("b b", a)
-    with pytest.raises(ValidationError, match="membership violation"):
-        check_lower_bound(a, ext, expressions=[foreign], n=2)
