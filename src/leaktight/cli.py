@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -446,9 +447,20 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 2
     if args.format == "json":
-        print(json.dumps(report, ensure_ascii=False, indent=2))
+        text = json.dumps(report, ensure_ascii=False, indent=2)
     else:
-        print(_render_text(report))
+        text = _render_text(report)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe.  Point stdout at devnull so that the
+        # flush at exit does not fail again, and exit with the status a
+        # shell reports for a process that SIGPIPE ended (128 + 13).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 

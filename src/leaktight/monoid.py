@@ -9,10 +9,12 @@ expression and the least number of nested iterates that can produce it.
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from operator import mul, or_
+from functools import cache, reduce
+from itertools import compress, repeat
+from operator import lshift, mul, not_, or_
 from typing import TYPE_CHECKING, Generic, Iterable, Mapping, Optional, TypeVar
 
 from .automaton import Automaton
@@ -82,13 +84,43 @@ DEFAULT_CAP = 2**20
 #
 # That is |M|·|G| products instead of the |M|² of multiplying every new
 # element with every earlier one, and |G| stays small: on the 21049-element
-# extended closure of the hardest 6-state scaling automaton it is 67.  So
-# the loop computes one product at a time, on scalar ints; packing many
-# elements into wide ints to multiply them at once pays only when each
-# element meets most of the others.  Provenance is kept as back-pointers,
-# (p, g) for a product and i for an iterate, and turned into expressions
-# once per element at the end, which also re-checks every iterate's
-# idempotency precondition.
+# extended closure of the hardest 6-state scaling automaton it is 67.
+#
+# The products are computed a frontier at a time.  A frontier is a run of
+# unexpanded elements that meet the same generators, at most `_SLOTS` of
+# them: the elements before `old` with the layer's new generators, the
+# others with all of them.  Its keys are packed into one wide int, one key
+# per slot of `width` bytes (whole 64-bit words, so that unpacking is one
+# `array("Q")`), and the formula above, applied to the wide left form and a
+# generator's rows, yields that generator's product with every element of
+# the frontier at once: fields stay inside their slot, as they stay inside
+# their row.  The products are then added in the order a scalar loop would
+# meet them, element by element and generator by generator, so discovery
+# order, provenance and the element at which the cap fails do not depend on
+# the batching.  Each layer's idempotents are found the same way, by one
+# slot-wise square of its elements, whose right operand differs from slot
+# to slot: term m ANDs the fields of the rows that contain column m (a
+# mask times `full`) with row m of each component, copied into every row
+# of that component (times `spread`).
+#
+# Provenance is kept as back-pointers, (p, g) for a product and i for an
+# iterate, and turned into expressions once per element at the end, which
+# also re-checks every iterate's idempotency precondition.
+
+# Most elements one wide-int pass packs; it bounds the memory of a pass.
+_SLOTS = 256
+
+
+@cache
+def _layout(n: int, k: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...], int]:
+    """The packing constants of k-component elements over n states: the
+    row mask `full`, `spread` (bit s·n for every row s), the masks S_c, the
+    row shifts and the slot width in 64-bit words."""
+    full = (1 << n) - 1
+    spread = sum(1 << (s * n) for s in range(n))
+    masks = tuple(spread << (c * n * n) for c in range(k))
+    shifts = tuple(j * n for j in range(k * n))
+    return full, spread, masks, shifts, -(-k * n * n // 64)
 
 
 def saturate(
@@ -106,21 +138,17 @@ def saturate(
     heights never fall in discovery order.
     """
     n, k = len(automaton.states), components
-    full = (1 << n) - 1
-    spread = sum(1 << (s * n) for s in range(n))
-    masks = tuple(spread << (c * n * n) for c in range(k))
-    shifts = tuple(j * n for j in range(k * n))
-
-    def left_form(key: int) -> list[int]:
-        return [(key >> m) & mask for mask in masks for m in range(n)]
+    full, spread, masks, shifts, words = _layout(n, k)
+    width = 8 * words
 
     def right_form(key: int) -> tuple[int, ...]:
-        return tuple((key >> shift) & full for shift in shifts)
+        return tuple([(key >> shift) & full for shift in shifts])
 
     keys: list[int] = []
     known: set[int] = set()
     sources: list = []
     heights: list[int] = []
+    packed = bytearray()
 
     def add(key: int, source, height: int) -> None:
         if len(keys) >= cap:
@@ -129,6 +157,27 @@ def saturate(
         keys.append(key)
         sources.append(source)
         heights.append(height)
+        packed.extend(key.to_bytes(width, "little"))
+
+    def frontier(start: int, end: int) -> tuple[int, int]:
+        """keys[start:end] packed into one wide int, one key per slot, and
+        the wide int with 1 in each of those slots."""
+        if end - start == 1:
+            return keys[start], 1
+        ones = int.from_bytes((1).to_bytes(width, "little") * (end - start), "little")
+        return int.from_bytes(packed[start * width : end * width], "little"), ones
+
+    def unpack(values: list[int], count: int) -> list[int]:
+        """The `count` slots of each wide int in turn, lowest slot first."""
+        if count == 1:
+            return values
+        data = array("Q", b"".join([v.to_bytes(count * width, "little") for v in values]))
+        if sys.byteorder == "big":
+            data.byteswap()
+        slots = data[::words].tolist()
+        for w in range(1, words):
+            slots = list(map(or_, slots, map(lshift, data[w::words], repeat(64 * w))))
+        return slots
 
     seeds = [epsilon_expr(n)]
     seeds += [letter_expr(automaton, letter) for letter in automaton.alphabet]
@@ -151,17 +200,45 @@ def saturate(
         """
         forms = [(g, right_form(keys[g])) for g in generators]
         new_forms = forms[first_new:]
-        pointer = 0
+        # The identity, element 0, times a generator is that generator.
+        pointer = 1
         while pointer < len(keys):
-            x_left = left_form(keys[pointer])
-            for g, g_right in new_forms if pointer < old else forms:
-                xg = reduce(or_, map(mul, x_left, g_right))
+            meets = new_forms if pointer < old else forms
+            end = min(pointer + _SLOTS, old if pointer < old else len(keys))
+            count = end - pointer
+            x, ones = frontier(pointer, end)
+            wide = [mask * ones for mask in masks]
+            lefts = [(x >> m) & mask for mask in wide for m in range(n)]
+            products = unpack(
+                [reduce(or_, map(mul, lefts, g_right)) for _, g_right in meets], count
+            )
+            # The products not known before this pass come out by generator;
+            # they are added by element, then by generator.
+            fresh = [i for i, xg in enumerate(products) if xg not in known]
+            if count > 1:
+                fresh.sort(key=count.__rmod__)
+            for index in fresh:
+                xg = products[index]
                 if xg not in known:
-                    add(xg, (pointer, g), height)
-            pointer += 1
+                    add(xg, (pointer + index % count, meets[index // count][0]), height)
+            pointer = end
 
-    def is_idempotent(key: int) -> bool:
-        return reduce(or_, map(mul, left_form(key), right_form(key))) == key
+    def idempotents(start: int, end: int) -> list[int]:
+        """The indices of the idempotents among keys[start:end]."""
+        every_row = sum(masks)
+        first_rows = sum(full << (c * n * n) for c in range(k))
+        found: list[int] = []
+        for lo in range(start, end, _SLOTS):
+            hi = min(lo + _SLOTS, end)
+            x, ones = frontier(lo, hi)
+            kept, firsts = every_row * ones, first_rows * ones
+            square = 0
+            for m in range(n):
+                rows = ((x >> m) & kept) * full
+                row = ((x >> (m * n)) & firsts) * spread
+                square |= rows & row
+            found += compress(range(lo, hi), map(not_, unpack([square ^ x], hi - lo)))
+        return found
 
     def iterate(key: int) -> int:
         rows = right_form(key)
@@ -173,22 +250,17 @@ def saturate(
         return key & ~((full ^ recurrent) * spread)
 
     close(0, 0, 0)
-    level = 0
+    level, start = 0, 0
     while level < max_height:
         old, first_new = len(keys), len(generators)
-        batch = [
-            i
-            for i, h in enumerate(heights)
-            if h == level and is_idempotent(keys[i])
-        ]
-        for i in batch:
+        for i in idempotents(start, old):
             v = iterate(keys[i])
             if v not in known:
                 add(v, i, level + 1)
                 generators.append(len(keys) - 1)
         if len(keys) == old:
             break
-        level += 1
+        level, start = level + 1, old
         close(first_new, old, level)
 
     expressions: list[SharpExpression] = []

@@ -8,11 +8,19 @@ any element type with concat / is_idempotent / iterate methods.
 `reference_bounded_witness_search` is the heap search
 `bounded_witness_search` ran as before it was put on the packed engine,
 also kept unchanged.
+
+`reference_cayley_saturate` is `monoid.saturate` as it was before products
+were batched over wide ints: the same right-Cayley enumeration, one scalar
+product at a time.  The batched engine must return the same elements,
+expressions and heights in the same order, and fail at the same element.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
+from functools import reduce
+from operator import mul, or_
 from typing import Optional
 
 from leaktight.automaton import Automaton
@@ -124,6 +132,123 @@ def reference_extended_markov_monoid(
         provenance=expressions,
         heights=heights,
     )
+
+
+def reference_cayley_saturate(
+    automaton: Automaton,
+    components: int,
+    cap: int,
+    max_height: int = sys.maxsize,
+) -> tuple[list[tuple[LimitWord, ...]], list[SharpExpression], list[int]]:
+    """Saturate the automaton's letters under products and iterates.
+
+    Elements are tuples of `components` limit words; the identity and each
+    letter are seeded with their word as every component.  Iterates nest
+    at most `max_height` deep.  Returns, per element in discovery order, its
+    components, its expression and its least iterate-nesting height;
+    heights never fall in discovery order.
+    """
+    n, k = len(automaton.states), components
+    full = (1 << n) - 1
+    spread = sum(1 << (s * n) for s in range(n))
+    masks = tuple(spread << (c * n * n) for c in range(k))
+    shifts = tuple(j * n for j in range(k * n))
+
+    def left_form(key: int) -> list[int]:
+        return [(key >> m) & mask for mask in masks for m in range(n)]
+
+    def right_form(key: int) -> tuple[int, ...]:
+        return tuple((key >> shift) & full for shift in shifts)
+
+    keys: list[int] = []
+    known: set[int] = set()
+    sources: list = []
+    heights: list[int] = []
+
+    def add(key: int, source, height: int) -> None:
+        if len(keys) >= cap:
+            raise CapExceeded(f"monoid closure exceeded cap of {cap} elements")
+        known.add(key)
+        keys.append(key)
+        sources.append(source)
+        heights.append(height)
+
+    seeds = [epsilon_expr(n)]
+    seeds += [letter_expr(automaton, letter) for letter in automaton.alphabet]
+    for expression in seeds:
+        key = 0
+        for j, row in enumerate(expression.word.rows * k):
+            key |= row << (j * n)
+        if key not in known:
+            add(key, expression, 0)
+    generators = list(range(1, len(keys)))
+
+    def close(first_new: int, old: int, height: int) -> None:
+        """Multiply the elements before `old` by the generators from
+        `first_new` on, and every later element by all generators.
+
+        Every product gets the layer's `height`: the elements before `old`
+        have lower heights and meet only this layer's generators, every
+        later element belongs to this layer, and in layer 0 every element
+        and every generator has height 0.
+        """
+        forms = [(g, right_form(keys[g])) for g in generators]
+        new_forms = forms[first_new:]
+        pointer = 0
+        while pointer < len(keys):
+            x_left = left_form(keys[pointer])
+            for g, g_right in new_forms if pointer < old else forms:
+                xg = reduce(or_, map(mul, x_left, g_right))
+                if xg not in known:
+                    add(xg, (pointer, g), height)
+            pointer += 1
+
+    def is_idempotent(key: int) -> bool:
+        return reduce(or_, map(mul, left_form(key), right_form(key))) == key
+
+    def iterate(key: int) -> int:
+        rows = right_form(key)
+        recurrent = 0
+        for s in range(n):
+            row = rows[s]
+            if all(rows[t] >> s & 1 for t in range(n) if row >> t & 1):
+                recurrent |= 1 << s
+        return key & ~((full ^ recurrent) * spread)
+
+    close(0, 0, 0)
+    level = 0
+    while level < max_height:
+        old, first_new = len(keys), len(generators)
+        batch = [
+            i
+            for i, h in enumerate(heights)
+            if h == level and is_idempotent(keys[i])
+        ]
+        for i in batch:
+            v = iterate(keys[i])
+            if v not in known:
+                add(v, i, level + 1)
+                generators.append(len(keys) - 1)
+        if len(keys) == old:
+            break
+        level += 1
+        close(first_new, old, level)
+
+    expressions: list[SharpExpression] = []
+    for source in sources:
+        if isinstance(source, tuple):
+            p, q = source
+            expressions.append(concat_expr(expressions[p], expressions[q]))
+        elif isinstance(source, int):
+            expressions.append(iterate_expr(expressions[source]))
+        else:
+            expressions.append(source)
+    spans = [slice(c * n, (c + 1) * n) for c in range(k)]
+    elements = [
+        tuple([LimitWord(n, rows[span]) for span in spans])
+        for rows in map(right_form, keys)
+    ]
+    return elements, expressions, heights
 
 
 class _WitnessFound(Exception):

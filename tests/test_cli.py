@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
@@ -16,6 +18,7 @@ import pytest
 import leaktight
 from leaktight import automaton_to_json, cli, leaks, monoid
 from leaktight.cli import main
+from leaktight.generate import random_automaton
 from leaktight.zoo import det1, fig1, fig3, rnd3, sink
 
 FIXTURE_BUILDERS = {
@@ -403,6 +406,37 @@ def test_value_too_long_to_print_is_exit_2(capsys, fixture_file) -> None:
     assert captured.err == "resource cap: exact value is too long to print\n"
 
 
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["estimate-value", "{path}", "(a)^n", "--bind", f"n={HUGE}"],
+        ["reify-check", "{path}", "--bind", "n=1000000000000"],
+    ],
+    ids=["estimate-value", "reify-check"],
+)
+def test_huge_exponent_is_exit_2(capsys, fixture_file, argv: list[str]) -> None:
+    # Before the power bound both ran until killed; now the denominator of
+    # the coin letter's power passes the bound within about 20 squarings.
+    path = fixture_file("fig3")
+    started = time.perf_counter()
+    assert main([part.format(path=path) for part in argv]) == 2
+    assert time.perf_counter() - started < 30
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource cap: matrix power ")
+
+
+def test_huge_exponent_of_a_deterministic_letter_answers(capsys, fixture_file) -> None:
+    # b's matrix has 0/1 entries, so its powers keep denominator 1.
+    report = run_json(
+        capsys, ["estimate-value", fixture_file("fig3"), "(b)^n", "--bind", f"n={HUGE}"]
+    )
+    assert report["value"] == "0"
+
+
 def test_parser_is_built_once_and_keeps_no_bindings(capsys, fixture_file) -> None:
     assert cli._build_parser() is cli._build_parser()
     path = fixture_file("fig3")
@@ -461,6 +495,25 @@ def test_console_script_runs() -> None:
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: leaktight")
     assert "value1" in proc.stdout
+
+
+def test_closed_stdout_exits_quietly(fixture_file) -> None:
+    # The extended closure of scaling seed (5, 4) prints about 113 KB, more
+    # than a pipe holds, so writing it meets the pipe the reader closed.
+    automaton = random_automaton(random.Random(5004), states=5, letters=2)
+    path = fixture_file("scale-5-4", automaton)
+    source_tree = Path(leaktight.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "leaktight.cli", "extended-monoid", path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(source_tree)},
+    )
+    assert proc.stdout.read(10) == b'{\n  "comma'
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 @pytest.mark.skipif(

@@ -27,6 +27,7 @@ from leaktight import (
     matrix_product,
     parse_family,
 )
+from leaktight.automaton import POWER_DENOMINATOR_BITS, scaled_power
 from leaktight.reduction import reduce_full
 from leaktight.zoo import det1, fig1, fig3, hier2, rnd3, sink
 
@@ -248,3 +249,28 @@ def test_rational_matrices_match_reference(pair, exponent) -> None:
     left, right = pair
     assert matrix_product(left, right) == ref.matrix_product(left, right)
     assert matrix_power(left, exponent) == ref.matrix_power(left, exponent)
+
+
+# ---------------------------------------------------------------------------
+# The bound on exact powers
+
+
+def test_power_bound_stops_only_growing_denominators() -> None:
+    # a^e of fig3's coin letter has denominator 2^e, of e + 1 bits.
+    coin, reset = fig3().scaled_matrix("a"), fig3().scaled_matrix("b")
+    bound = POWER_DENOMINATOR_BITS
+    assert scaled_power(coin, bound // 2)[1] == 2 ** (bound // 2)
+    with pytest.raises(CapExceeded) as raised:
+        scaled_power(coin, bound)
+    assert str(raised.value) == (
+        f"matrix power {bound}: denominator exceeded {bound} bits"
+    )
+    assert scaled_power(reset, 10**20) == reset
+
+
+def test_default_reification_of_deep_provenance_stays_under_power_bound() -> None:
+    # Corpus seed 279 has height-2 provenance; at the CLI's default n = 12
+    # its iterate powers reach denominators of about 2^18.2 bits.
+    a = seeded_automaton(279)
+    reports = check_consistency(a, seeded_closure(279), n=12)
+    assert all(report.ok for report in reports)

@@ -8,6 +8,10 @@ evaluate to its element (an extended pair's word component) at the
 element's recorded height, and heights must never fall in discovery order.
 The height-bounded witness search, which runs on the same engine, must find
 a witness exactly when the reference heap search does.
+
+Against the scalar right-Cayley loop the engine batches, the comparison is
+exact: the same elements, rendered expressions and heights, in the same
+order, and the same `CapExceeded` message.
 """
 
 from __future__ import annotations
@@ -28,10 +32,12 @@ from leaktight import (
 )
 from leaktight.generate import random_automaton
 from leaktight.leaks import ExtendedLimitWord
+from leaktight.monoid import DEFAULT_CAP, saturate
 
 from .helpers import automata, corpus, seeded_automaton, seeded_closure, seeded_extended
 from .reference_saturation import (
     reference_bounded_witness_search,
+    reference_cayley_saturate,
     reference_extended_markov_monoid,
     reference_markov_monoid,
 )
@@ -108,7 +114,12 @@ def test_closures_match_reference_on_scaling_automata(states: int, k: int) -> No
 
 # Closure sizes on the hardest scaling automata, (extended, plain), as the
 # earlier all-pairs engine measured them; the largest height is 1 in all.
-HARD_SCALING = {(5, 0): (3645, 1306), (5, 3): (4116, 738), (6, 4): (5219, 2287)}
+HARD_SCALING = {
+    (5, 0): (3645, 1306),
+    (5, 3): (4116, 738),
+    (6, 4): (5219, 2287),
+    (6, 0): (21049, 5788),
+}
 
 
 @pytest.mark.parametrize("states,k", sorted(HARD_SCALING))
@@ -136,6 +147,79 @@ def test_closures_match_reference_on_drawn_automata(automaton) -> None:
     # 5-state closures; below it the closures are compared in full.
     for kind in BUILDERS:
         assert_same_outcome(automaton, kind, cap=200)
+
+
+# ---------------------------------------------------------------------------
+# The batched engine against the scalar right-Cayley loop
+
+
+def saturation(engine, automaton, components: int, cap: int = DEFAULT_CAP):
+    """Elements, rendered expressions and heights, or the cap message."""
+    try:
+        elements, expressions, heights = engine(automaton, components, cap)
+    except CapExceeded as error:
+        return str(error)
+    return elements, [expression.render() for expression in expressions], heights
+
+
+def assert_same_saturation(automaton, components: int, cap: int = DEFAULT_CAP) -> None:
+    assert saturation(saturate, automaton, components, cap) == saturation(
+        reference_cayley_saturate, automaton, components, cap
+    )
+
+
+def assert_same_saturation_at_caps(automaton) -> None:
+    """Both component counts, uncapped and at caps 1, size - 1 and size."""
+    for components in (1, 2):
+        size = len(saturate(automaton, components, DEFAULT_CAP)[0])
+        for cap in sorted({1, size - 1, size, DEFAULT_CAP} - {0}):
+            assert_same_saturation(automaton, components, cap)
+
+
+def test_saturation_order_matches_scalar_loop_on_corpus() -> None:
+    for seed in corpus():
+        assert_same_saturation_at_caps(seeded_automaton(seed))
+
+
+@pytest.mark.parametrize("states,k", SCALING)
+def test_saturation_order_matches_scalar_loop_on_scaling_automata(
+    states: int, k: int
+) -> None:
+    assert_same_saturation_at_caps(scaling_automaton(states, k))
+
+
+@pytest.mark.parametrize("states,k", sorted(HARD_SCALING.keys() - {(6, 0)}))
+def test_saturation_order_matches_scalar_loop_on_hard_scaling_automata(
+    states: int, k: int
+) -> None:
+    for components in (1, 2):
+        assert_same_saturation(scaling_automaton(states, k), components)
+
+
+# (states, letters, seed) of random_automaton(Random(seed), ...): one state;
+# one letter at 7 and 9 states; two letters at 6 to 9 states, whose extended
+# keys fill two words of a slot (exactly two at 8 states) and three at 9.
+SLOT_WIDTHS = (
+    (1, 1, 0), (7, 1, 0), (9, 1, 3),
+    (6, 2, 6001), (7, 2, 4), (8, 2, 1), (9, 2, 6),
+)
+
+
+@pytest.mark.parametrize("states,letters,seed", SLOT_WIDTHS)
+def test_saturation_order_matches_scalar_loop_across_slot_widths(
+    states: int, letters: int, seed: int
+) -> None:
+    automaton = random_automaton(random.Random(seed), states=states, letters=letters)
+    assert_same_saturation_at_caps(automaton)
+
+
+@settings(max_examples=40, deadline=None)
+@given(automata(max_states=6))
+def test_saturation_order_matches_scalar_loop_on_drawn_automata(automaton) -> None:
+    # The cap bounds the work on the rare large 6-state closures; up to it
+    # the two engines must agree, down to the element that exceeds it.
+    for components in (1, 2):
+        assert_same_saturation(automaton, components, cap=3000)
 
 
 # ---------------------------------------------------------------------------
