@@ -8,14 +8,16 @@ Products, powers and distribution steps are computed on a scaled form: a
 matrix (or distribution) is a tuple of int numerators over one common
 denominator, reduced once per product with a single `math.gcd`.  The reduced
 form is unique, so it can be compared and hashed as it is.  The `Fraction`
-functions convert at the boundary.
+functions convert at the boundary.  Each automaton builds the scaled form of
+its letters once, at construction, and validates the matrices on it; the
+probability predicates (p_min, determinism, simplicity, supports) read it too.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -190,6 +192,10 @@ class Automaton:
     initial: str
     final: frozenset[str]
     matrices: tuple[Matrix, ...]
+    # Per letter, its matrix in scaled form; built and checked by __post_init__.
+    _scaled_letters: tuple[ScaledMatrix, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.states:
@@ -212,26 +218,34 @@ class Automaton:
         if len(self.matrices) != len(self.alphabet):
             raise ValidationError("one transition matrix per letter is required")
         dim = len(self.states)
+        scaled = []
         for letter, matrix in zip(self.alphabet, self.matrices):
             if len(matrix) != dim or any(len(row) != dim for row in matrix):
                 raise ValidationError(f"letter {letter!r}: matrix is not {dim}x{dim}")
+            rows = []
             for s, row in enumerate(matrix):
-                total = ZERO
                 for entry in row:
                     if not isinstance(entry, Fraction):
                         raise ValidationError(
                             f"letter {letter!r}: non-rational entry {entry!r}"
                         )
-                    if entry < 0 or entry > 1:
+                    if not 0 <= entry.numerator <= entry.denominator:
                         raise ValidationError(
                             f"letter {letter!r}: entry {entry} outside [0,1]"
                         )
-                    total += entry
-                if total != 1:
+                numerators, denominator = scale_vector(row)
+                if sum(numerators) != denominator:
                     raise ValidationError(
                         f"letter {letter!r}, state {self.states[s]!r}: "
-                        f"row sum {total} ≠ 1"
+                        f"row sum {Fraction(sum(numerators), denominator)} ≠ 1"
                     )
+                rows.append((numerators, denominator))
+            denominator = math.lcm(*(d for _, d in rows))
+            scaled.append((
+                tuple(tuple(x * (denominator // d) for x in row) for row, d in rows),
+                denominator,
+            ))
+        object.__setattr__(self, "_scaled_letters", tuple(scaled))
 
     @cached_property
     def state_index(self) -> dict[str, int]:
@@ -249,16 +263,9 @@ class Automaton:
     def min_transition_probability(self) -> Fraction:
         """The smallest strictly positive entry over all letter matrices (p_min)."""
         return min(
-            entry
-            for matrix in self.matrices
-            for row in matrix
-            for entry in row
-            if entry > 0
+            Fraction(min(x for row in rows for x in row if x), denominator)
+            for rows, denominator in self._scaled_letters
         )
-
-    @cached_property
-    def _scaled_letters(self) -> tuple[ScaledMatrix, ...]:
-        return tuple(_scale_matrix(matrix) for matrix in self.matrices)
 
     @cached_property
     def _sparse_letters(self) -> tuple[tuple[_SparseRows, int], ...]:

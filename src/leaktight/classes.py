@@ -29,10 +29,7 @@ SUBSET_GRAPH_CAP = 12
 def is_deterministic(automaton: Automaton) -> bool:
     """Every transition probability is 0 or 1."""
     return all(
-        entry == 0 or entry == 1
-        for matrix in automaton.matrices
-        for row in matrix
-        for entry in row
+        automaton.scaled_matrix(letter)[1] == 1 for letter in automaton.alphabet
     )
 
 

@@ -201,12 +201,16 @@ def _run_classify(args: argparse.Namespace) -> dict:
     automaton = _read_automaton(args.input)
     ranks = is_hierarchical(automaton)
     leak_report = decide_leaktight(automaton, args.cap)
+    try:
+        sharp_acyclic = is_sharp_acyclic(automaton)
+    except CapExceeded:  # more states than the subset graph may have
+        sharp_acyclic = None
     return {
         "digest": _digest(automaton),
         "deterministic": is_deterministic(automaton),
         "hierarchical": ranks is not None,
         "ranks": ranks,
-        "sharp_acyclic": is_sharp_acyclic(automaton),
+        "sharp_acyclic": sharp_acyclic,
         "leaktight": "yes" if leak_report.leaktight else "no",
     }
 

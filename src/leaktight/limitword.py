@@ -204,12 +204,12 @@ class RecurrencePartition:
 
 def letter_abstraction(automaton: "Automaton", letter: str) -> LimitWord:
     """The boolean support of a letter's transition matrix."""
-    matrix = automaton.matrix(letter)
+    numerators, _ = automaton.scaled_matrix(letter)
     rows = []
-    for row in matrix:
+    for row in numerators:
         bits = 0
-        for t, entry in enumerate(row):
-            if entry:
+        for t, x in enumerate(row):
+            if x:
                 bits |= 1 << t
         rows.append(bits)
-    return LimitWord(len(matrix), tuple(rows))
+    return LimitWord(len(numerators), tuple(rows))

@@ -43,21 +43,20 @@ _RESERVED_STATES = frozenset({"s*", "s0", "s1", "wait", "sC", "sink"})
 def is_simple(automaton: Automaton) -> bool:
     """Every transition probability is 0, 1/2 or 1."""
     return all(
-        entry in (ZERO, HALF, ONE)
-        for matrix in automaton.matrices
-        for row in matrix
-        for entry in row
+        automaton.scaled_matrix(letter)[1] <= 2 for letter in automaton.alphabet
     )
 
 
 def probabilistic_row_count(automaton: Automaton) -> int:
     """Number of (state, letter) rows with an entry strictly between 0 and 1."""
-    return sum(
-        1
-        for matrix in automaton.matrices
-        for row in matrix
-        if any(0 < entry < 1 for entry in row)
-    )
+    count = 0
+    for letter in automaton.alphabet:
+        rows, denominator = automaton.scaled_matrix(letter)
+        if denominator > 1:
+            # A row's numerators sum to the denominator, so it has an entry
+            # strictly between 0 and 1 exactly when none equals the denominator.
+            count += sum(1 for row in rows if denominator not in row)
+    return count
 
 
 def _require_simple(automaton: Automaton) -> None:

@@ -4,16 +4,20 @@
 numerators over one common denominator.  The functions here are the
 `Fraction` arithmetic it replaced, copied as they were (only renamed where
 they were methods or private), so that `tests/test_numerics.py` can check
-that the scaled form returns the same exact values.
+that the scaled form returns the same exact values.  The same holds for the
+matrix validation and the probability predicates, which now read each
+automaton's scaled letters.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Optional
 
-from leaktight.automaton import Automaton, Matrix, identity_matrix
+from leaktight.automaton import Automaton, Matrix, ScaledMatrix, identity_matrix
 from leaktight.errors import CapExceeded, ValidationError
+from leaktight.limitword import LimitWord
 from leaktight.monoid import MonoidClosure
 from leaktight.oracle import (
     DEFAULT_BUDGET,
@@ -29,6 +33,114 @@ from leaktight.oracle import (
 from leaktight.sharpexpr import Concat, Epsilon, Letter, SharpExpression
 
 ZERO = Fraction(0)
+HALF = Fraction(1, 2)
+ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------------
+# Matrix validation and probability predicates
+
+
+def validate_matrices(
+    states: tuple[str, ...], alphabet: tuple[str, ...], matrices: tuple[Matrix, ...]
+) -> None:
+    """The matrix loop of `Automaton.__post_init__`."""
+    dim = len(states)
+    for letter, matrix in zip(alphabet, matrices):
+        if len(matrix) != dim or any(len(row) != dim for row in matrix):
+            raise ValidationError(f"letter {letter!r}: matrix is not {dim}x{dim}")
+        for s, row in enumerate(matrix):
+            total = ZERO
+            for entry in row:
+                if not isinstance(entry, Fraction):
+                    raise ValidationError(
+                        f"letter {letter!r}: non-rational entry {entry!r}"
+                    )
+                if entry < 0 or entry > 1:
+                    raise ValidationError(
+                        f"letter {letter!r}: entry {entry} outside [0,1]"
+                    )
+                total += entry
+            if total != 1:
+                raise ValidationError(
+                    f"letter {letter!r}, state {states[s]!r}: "
+                    f"row sum {total} ≠ 1"
+                )
+
+
+def scale_matrix(matrix: Matrix) -> ScaledMatrix:
+    denominator = math.lcm(*(entry.denominator for row in matrix for entry in row))
+    return (
+        tuple(
+            tuple(
+                entry.numerator * (denominator // entry.denominator) for entry in row
+            )
+            for row in matrix
+        ),
+        denominator,
+    )
+
+
+def scaled_letters(automaton: Automaton) -> tuple[ScaledMatrix, ...]:
+    return tuple(scale_matrix(matrix) for matrix in automaton.matrices)
+
+
+def min_transition_probability(automaton: Automaton) -> Fraction:
+    """The smallest strictly positive entry over all letter matrices (p_min)."""
+    return min(
+        entry
+        for matrix in automaton.matrices
+        for row in matrix
+        for entry in row
+        if entry > 0
+    )
+
+
+def is_simple(automaton: Automaton) -> bool:
+    """Every transition probability is 0, 1/2 or 1."""
+    return all(
+        entry in (ZERO, HALF, ONE)
+        for matrix in automaton.matrices
+        for row in matrix
+        for entry in row
+    )
+
+
+def probabilistic_row_count(automaton: Automaton) -> int:
+    """Number of (state, letter) rows with an entry strictly between 0 and 1."""
+    return sum(
+        1
+        for matrix in automaton.matrices
+        for row in matrix
+        if any(0 < entry < 1 for entry in row)
+    )
+
+
+def is_deterministic(automaton: Automaton) -> bool:
+    """Every transition probability is 0 or 1."""
+    return all(
+        entry == 0 or entry == 1
+        for matrix in automaton.matrices
+        for row in matrix
+        for entry in row
+    )
+
+
+def letter_abstraction(automaton: "Automaton", letter: str) -> LimitWord:
+    """The boolean support of a letter's transition matrix."""
+    matrix = automaton.matrix(letter)
+    rows = []
+    for row in matrix:
+        bits = 0
+        for t, entry in enumerate(row):
+            if entry:
+                bits |= 1 << t
+        rows.append(bits)
+    return LimitWord(len(matrix), tuple(rows))
+
+
+# ---------------------------------------------------------------------------
+# Products, powers, steps and reification
 
 
 def matrix_product(left: Matrix, right: Matrix) -> Matrix:

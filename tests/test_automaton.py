@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 import random
 from fractions import Fraction as F
 
@@ -106,6 +108,31 @@ def test_rejects_duplicate_names_and_arity_mismatch() -> None:
 def test_unknown_letter_raises() -> None:
     with pytest.raises(ValidationError, match="unknown letter"):
         fig3().matrix("z")
+
+
+def test_stored_scaled_letters_change_nothing_visible() -> None:
+    a = fig3()
+    b = automaton_from_json(automaton_to_json(a))
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert repr(a) == (
+        "Automaton(states=('0', '1'), alphabet=('a', 'b'), initial='0', "
+        "final=frozenset({'1'}), matrices=((("
+        "Fraction(1, 2), Fraction(1, 2)), (Fraction(0, 1), Fraction(1, 1))), "
+        "((Fraction(1, 1), Fraction(0, 1)), (Fraction(1, 1), Fraction(0, 1)))))"
+    )
+    assert a != dataclasses.replace(a, final=frozenset())
+    for copy in (pickle.loads(pickle.dumps(a)), dataclasses.replace(a)):
+        assert copy == a and hash(copy) == hash(a) and repr(copy) == repr(a)
+        for letter in a.alphabet:
+            assert copy.scaled_matrix(letter) == a.scaled_matrix(letter)
+    swapped = dataclasses.replace(a, matrices=a.matrices[::-1])
+    assert swapped.scaled_matrix("a") == a.scaled_matrix("b")
+    assert swapped.scaled_matrix("b") == a.scaled_matrix("a")
+    half = ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2)))
+    with pytest.raises(ValidationError, match=r"letter 'b', state '0': row sum 3/2"):
+        dataclasses.replace(a, matrices=(half, ((F(1), F(1, 2)), (F(1), F(0)))))
+    with pytest.raises(ValueError):
+        dataclasses.replace(a, _scaled_letters=())
 
 
 # ---------------------------------------------------------------------------

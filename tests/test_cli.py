@@ -205,6 +205,22 @@ def test_classify_subcommand(capsys, fixture_file) -> None:
     assert report["leaktight"] == "yes"
 
 
+def test_classify_beyond_the_subset_graph_cap(capsys, fixture_file) -> None:
+    a = random_automaton(random.Random(7), states=13, letters=1)
+    report = run_json(capsys, ["classify", fixture_file("r13", a)])
+    ranks = leaktight.is_hierarchical(a)
+    assert report["digest"] == {"states": 13, "letters": 1, "p_min": "1/2"}
+    assert report["deterministic"] is leaktight.is_deterministic(a) is False
+    assert report["hierarchical"] is (ranks is not None)
+    assert report["ranks"] == ranks
+    assert report["sharp_acyclic"] is None
+    with pytest.raises(leaktight.CapExceeded, match="cap is 4095"):
+        leaktight.is_sharp_acyclic(a)
+    assert report["leaktight"] == (
+        "yes" if leaktight.decide_leaktight(a).leaktight else "no"
+    )
+
+
 def test_compose_subcommand(capsys, fixture_file, tmp_path) -> None:
     a, b = fixture_file("fig3"), fixture_file("det1")
     report = run_json(capsys, ["compose", "parallel", a, b])

@@ -8,6 +8,7 @@ same `CapExceeded` messages at the same budgets.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -15,20 +16,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leaktight import (
+    Automaton,
     CapExceeded,
+    ValidationError,
     brute_force_value,
     check_consistency,
     check_lower_bound,
     evaluate_family_at,
     expression_matrix,
     find_leak_witness,
+    is_deterministic,
+    letter_abstraction,
     markov_monoid,
     matrix_power,
     matrix_product,
+    parallel_composition,
     parse_family,
+    synchronized_product,
 )
 from leaktight.automaton import POWER_DENOMINATOR_BITS, scaled_power
-from leaktight.reduction import reduce_full
+from leaktight.generate import perturb, random_automaton
+from leaktight.reduction import (
+    is_simple,
+    probabilistic_row_count,
+    reduce_basic,
+    reduce_full,
+    third_simulation,
+)
 from leaktight.zoo import det1, fig1, fig3, hier2, rnd3, sink
 
 from . import reference_numerics as ref
@@ -40,6 +54,7 @@ from .helpers import (
     seeded_extended,
     words_over,
 )
+from .test_saturation import SCALING, scaling_automaton
 
 ZOO = {
     "fig3": fig3,
@@ -274,3 +289,131 @@ def test_default_reification_of_deep_provenance_stays_under_power_bound() -> Non
     a = seeded_automaton(279)
     reports = check_consistency(a, seeded_closure(279), n=12)
     assert all(report.ok for report in reports)
+
+
+# ---------------------------------------------------------------------------
+# Matrix validation and probability predicates on the stored scaled letters
+
+
+def _rational(entry) -> F:
+    return entry if isinstance(entry, F) else F(0)
+
+
+def _faulty_matrices(rng: random.Random):
+    """1-3 states and 1-2 letters of stochastic rows, then 0-5 faults spread
+    over rows and letters: non-rational entries, entries outside [0, 1],
+    bad row sums and wrong dimensions."""
+    dim, letters = rng.randint(1, 3), rng.randint(1, 2)
+    matrices = []
+    for _ in range(letters):
+        rows = []
+        for _ in range(dim):
+            cuts = sorted(F(rng.randint(0, 6), 6) for _ in range(dim - 1))
+            bounds = [F(0), *cuts, F(1)]
+            rows.append([b - a for a, b in zip(bounds, bounds[1:])])
+        matrices.append(rows)
+    for _ in range(rng.randint(0, 5)):
+        rows = rng.choice(matrices)
+        row = rng.choice(rows) if rows else []
+        if not row:
+            continue
+        t = rng.randrange(len(row))
+        fault = rng.randrange(9)
+        if fault == 0:
+            row[t] = rng.choice([0, 1, 2, -1])
+        elif fault == 1:
+            row[t] = rng.choice([True, False])
+        elif fault == 2:
+            row[t] = rng.choice([0.0, 0.5, 1.0, -0.25])
+        elif fault == 3:
+            row[t] = rng.choice(["1/2", "1", "", "x"])
+        elif fault == 4:
+            row[t] = F(-rng.randint(1, 4), rng.randint(1, 5))
+        elif fault == 5:
+            row[t] = F(rng.randint(6, 12), rng.randint(1, 5))
+        elif fault == 6:
+            row[t] = _rational(row[t]) + F(rng.choice([-1, 1]), rng.randint(2, 9))
+        elif fault == 7:
+            # Moves mass within the row: the sum holds, an entry may leave [0, 1].
+            u = rng.randrange(len(row))
+            shift = F(rng.randint(1, 3), 3)
+            row[t] = _rational(row[t]) + shift
+            row[u] = _rational(row[u]) - shift
+        elif rng.random() < 0.5:
+            row.pop()
+        else:
+            rows.pop()
+    states = tuple(f"q{i}" for i in range(dim))
+    alphabet = tuple("ab"[:letters])
+    return states, alphabet, tuple(tuple(map(tuple, rows)) for rows in matrices)
+
+
+def _verdict(function, *args):
+    try:
+        function(*args)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def test_same_rejections_as_reference_validation() -> None:
+    verdicts = []
+    for seed in range(20000):
+        states, alphabet, matrices = _faulty_matrices(random.Random(seed))
+        expected = _verdict(ref.validate_matrices, states, alphabet, matrices)
+        actual = _verdict(
+            Automaton, states, alphabet, states[0], frozenset(), matrices
+        )
+        assert actual == expected, (seed, matrices)
+        verdicts.append(expected)
+    faults = ("non-rational", "outside", "row sum", "is not")
+    kinds = {v and next(k for k in faults if k in v) for v in verdicts}
+    assert kinds == {None, *faults}
+
+
+def _predicate_automata():
+    """Zoo, corpus, scaling, reduced and composed automata."""
+    zoo = [build() for build in ZOO.values()]
+    yield from zoo
+    yield from (seeded_automaton(seed) for seed in corpus())
+    yield from (scaling_automaton(states, k) for states, k in SCALING)
+    simple = [a for a in zoo if ref.is_simple(a)]
+    simple += [seeded_automaton(seed) for seed in range(0, 500, 50)]
+    for a in simple:
+        yield reduce_basic(a).automaton
+        yield reduce_full(a).automaton
+        yield third_simulation(a)
+    for left, right in zip(zoo, zoo[1:] + zoo[:1]):
+        if set(left.alphabet) == set(right.alphabet):
+            yield parallel_composition(left, right)
+            yield synchronized_product(left, right)
+
+
+def _assert_same_predicates(a: Automaton) -> None:
+    assert [a.scaled_matrix(letter) for letter in a.alphabet] == list(
+        ref.scaled_letters(a)
+    )
+    assert a.min_transition_probability == ref.min_transition_probability(a)
+    assert is_simple(a) == ref.is_simple(a)
+    assert is_deterministic(a) == ref.is_deterministic(a)
+    assert probabilistic_row_count(a) == ref.probabilistic_row_count(a)
+    for letter in a.alphabet:
+        assert letter_abstraction(a, letter) == ref.letter_abstraction(a, letter)
+
+
+def test_same_predicates_as_reference() -> None:
+    checked = 0
+    for a in _predicate_automata():
+        _assert_same_predicates(a)
+        checked += 1
+    # 16 simple automata are reduced three ways; every zoo pair composes.
+    assert checked == len(ZOO) + 500 + len(SCALING) + 3 * 16 + 2 * len(ZOO)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 3))
+def test_same_predicates_as_reference_on_drawn_automata(seed, states, letters) -> None:
+    rng = random.Random(seed)
+    a = random_automaton(rng, states=states, letters=letters)
+    _assert_same_predicates(a)
+    _assert_same_predicates(perturb(rng, a))
