@@ -75,21 +75,28 @@ DEFAULT_CAP = 2**20
 # The closure is the monoid generated by the letters and, from layer h + 1
 # on, by the new iterates of the height-h idempotents.  It is enumerated on
 # its right Cayley graph (Froidure & Pin, 1997): each element, in discovery
-# order, is multiplied on the right by the generators only.  When a layer
-# opens, its new iterates become generators; the elements found before it
-# are multiplied by those only, and every later element by all generators.
-# An element's height is the layer that found it.  Each layer is closed
-# before its iterates are taken, so heights are minimal and never fall in
+# order, is multiplied on the right by the generators only.  Layer 0 is
+# the closure of the letters.  Layer h + 1 takes the height-h idempotents
+# in discovery order, one at a time.  An idempotent whose iterate is
+# already an element adds nothing.  Otherwise the iterate is added, becomes
+# a generator, and the closure is closed again at once: the elements found
+# before the iterate are multiplied by it alone, and the iterate and every
+# later element by all generators.  So an iterate that an earlier
+# generator's products already reached never becomes a generator (the
+# "closure" variant of Jonušas, Mitchell & Pfeiffer, 2017).  An element's
+# height is the layer that found it.  Each layer is closed before the next
+# one's iterates are taken, so heights are minimal and never fall in
 # discovery order.
 #
 # That is |M|·|G| products instead of the |M|² of multiplying every new
 # element with every earlier one, and |G| stays small: on the 21049-element
-# extended closure of the hardest 6-state scaling automaton it is 67.
+# extended closure of the hardest 6-state scaling automaton it is the two
+# letters and two of the 65 new iterates.
 #
 # The products are computed a frontier at a time.  A frontier is a run of
 # unexpanded elements that meet the same generators, at most `_SLOTS` of
-# them: the elements before `old` with the layer's new generators, the
-# others with all of them.  Its keys are packed into one wide int, one key
+# them: the elements before `old` with the newest generator, the others
+# with all of them.  Its keys are packed into one wide int, one key
 # per slot of `width` bytes (whole 64-bit words, so that unpacking is one
 # `array("Q")`), and the formula above, applied to the wide left form and a
 # generator's rows, yields that generator's product with every element of
@@ -189,17 +196,20 @@ def saturate(
             add(key, expression, 0)
     generators = list(range(1, len(keys)))
 
-    def close(first_new: int, old: int, height: int) -> None:
-        """Multiply the elements before `old` by the generators from
-        `first_new` on, and every later element by all generators.
+    def close(old: int, height: int) -> None:
+        """Multiply the elements before `old` by the newest generator, and
+        every later element by all generators.
 
-        Every product gets the layer's `height`: the elements before `old`
-        have lower heights and meet only this layer's generators, every
-        later element belongs to this layer, and in layer 0 every element
-        and every generator has height 0.
+        Layer 0 is closed with `old` = 0, so every element meets every
+        generator.  From layer 1 on, the newest generator is an iterate and
+        `old` is its index: the elements before it have met every earlier
+        generator, and the iterate and the elements this pass finds have
+        met none.  Every product gets the layer's `height`: it is not in
+        the closure of the lower layers, and both its factors have at most
+        that height.
         """
         forms = [(g, right_form(keys[g])) for g in generators]
-        new_forms = forms[first_new:]
+        new_forms = forms[-1:]
         # The identity, element 0, times a generator is that generator.
         pointer = 1
         while pointer < len(keys):
@@ -249,19 +259,19 @@ def saturate(
                 recurrent |= 1 << s
         return key & ~((full ^ recurrent) * spread)
 
-    close(0, 0, 0)
+    close(0, 0)
     level, start = 0, 0
     while level < max_height:
-        old, first_new = len(keys), len(generators)
+        old = len(keys)
         for i in idempotents(start, old):
             v = iterate(keys[i])
             if v not in known:
                 add(v, i, level + 1)
                 generators.append(len(keys) - 1)
+                close(len(keys) - 1, level + 1)
         if len(keys) == old:
             break
         level, start = level + 1, old
-        close(first_new, old, level)
 
     expressions: list[SharpExpression] = []
     for source in sources:

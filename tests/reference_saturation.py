@@ -11,8 +11,11 @@ also kept unchanged.
 
 `reference_cayley_saturate` is `monoid.saturate` as it was before products
 were batched over wide ints: the same right-Cayley enumeration, one scalar
-product at a time.  The batched engine must return the same elements,
-expressions and heights in the same order, and fail at the same element.
+product at a time.  Its layer loop follows the engine's: each iterate that
+is not yet an element becomes a generator and is closed over at once, and
+an iterate that is already an element is skipped.  The batched engine must
+return the same elements, expressions and heights in the same order, and
+fail at the same element.
 """
 
 from __future__ import annotations
@@ -183,17 +186,17 @@ def reference_cayley_saturate(
             add(key, expression, 0)
     generators = list(range(1, len(keys)))
 
-    def close(first_new: int, old: int, height: int) -> None:
-        """Multiply the elements before `old` by the generators from
-        `first_new` on, and every later element by all generators.
+    def close(old: int, height: int) -> None:
+        """Multiply the elements before `old` by the newest generator, and
+        every later element by all generators.
 
-        Every product gets the layer's `height`: the elements before `old`
-        have lower heights and meet only this layer's generators, every
-        later element belongs to this layer, and in layer 0 every element
-        and every generator has height 0.
+        Layer 0 is closed with `old` = 0.  From layer 1 on, the newest
+        generator is an iterate and `old` is its index.  Every product gets
+        the layer's `height`: it is not in the closure of the lower layers,
+        and both its factors have at most that height.
         """
         forms = [(g, right_form(keys[g])) for g in generators]
-        new_forms = forms[first_new:]
+        new_forms = forms[-1:]
         pointer = 0
         while pointer < len(keys):
             x_left = left_form(keys[pointer])
@@ -215,10 +218,10 @@ def reference_cayley_saturate(
                 recurrent |= 1 << s
         return key & ~((full ^ recurrent) * spread)
 
-    close(0, 0, 0)
+    close(0, 0)
     level = 0
     while level < max_height:
-        old, first_new = len(keys), len(generators)
+        old = len(keys)
         batch = [
             i
             for i, h in enumerate(heights)
@@ -229,10 +232,10 @@ def reference_cayley_saturate(
             if v not in known:
                 add(v, i, level + 1)
                 generators.append(len(keys) - 1)
+                close(len(keys) - 1, level + 1)
         if len(keys) == old:
             break
         level += 1
-        close(first_new, old, level)
 
     expressions: list[SharpExpression] = []
     for source in sources:

@@ -55,8 +55,10 @@ SCALING = (
 )
 
 
-def scaling_automaton(states: int, k: int):
-    return random_automaton(random.Random(1000 * states + k), states=states, letters=2)
+def scaling_automaton(states: int, k: int, letters: int = 2):
+    return random_automaton(
+        random.Random(1000 * states + k), states=states, letters=letters
+    )
 
 
 
@@ -112,23 +114,37 @@ def test_closures_match_reference_on_scaling_automata(states: int, k: int) -> No
         assert_same_closure(build(automaton), reference(automaton))
 
 
-# Closure sizes on the hardest scaling automata, (extended, plain), as the
-# earlier all-pairs engine measured them; the largest height is 1 in all.
+# The hardest scaling automata, keyed by (states, k, letters): the sizes of
+# the (extended, plain) closures and their largest heights.  The first four
+# sizes are as the earlier all-pairs engine measured them.
 HARD_SCALING = {
-    (5, 0): (3645, 1306),
-    (5, 3): (4116, 738),
-    (6, 4): (5219, 2287),
-    (6, 0): (21049, 5788),
+    (5, 0, 2): ((3645, 1306), (1, 1)),
+    (5, 3, 2): ((4116, 738), (1, 1)),
+    (6, 4, 2): ((5219, 2287), (1, 1)),
+    (6, 0, 2): ((21049, 5788), (1, 1)),
+    (8, 0, 2): ((16777, 3878), (1, 1)),
+    (5, 0, 3): ((26955, 3755), (1, 0)),
+    (5, 3, 3): ((34635, 4756), (1, 0)),
 }
 
+# The hard cases as test parameters; two-letter ids leave the letters out,
+# as the scaling automata's do.
+HARD_CASES = [
+    pytest.param(*key, id="-".join(map(str, key[:2] if key[2] == 2 else key)))
+    for key in sorted(HARD_SCALING)
+]
 
-@pytest.mark.parametrize("states,k", sorted(HARD_SCALING))
-def test_closure_sizes_on_hard_scaling_automata(states: int, k: int) -> None:
-    automaton = scaling_automaton(states, k)
+
+@pytest.mark.parametrize("states,k,letters", HARD_CASES)
+def test_closure_sizes_on_hard_scaling_automata(
+    states: int, k: int, letters: int
+) -> None:
+    automaton = scaling_automaton(states, k, letters)
     extended = extended_markov_monoid(automaton)
     plain = markov_monoid(automaton)
-    assert (len(extended.elements), len(plain.elements)) == HARD_SCALING[states, k]
-    assert max(extended.heights.values()) == plain.max_height == 1
+    sizes = len(extended.elements), len(plain.elements)
+    heights = extended.max_height, plain.max_height
+    assert (sizes, heights) == HARD_SCALING[states, k, letters]
     assert markov_monoid(extended).heights == plain.heights
 
 
@@ -188,12 +204,12 @@ def test_saturation_order_matches_scalar_loop_on_scaling_automata(
     assert_same_saturation_at_caps(scaling_automaton(states, k))
 
 
-@pytest.mark.parametrize("states,k", sorted(HARD_SCALING.keys() - {(6, 0)}))
+@pytest.mark.parametrize("states,k,letters", HARD_CASES)
 def test_saturation_order_matches_scalar_loop_on_hard_scaling_automata(
-    states: int, k: int
+    states: int, k: int, letters: int
 ) -> None:
     for components in (1, 2):
-        assert_same_saturation(scaling_automaton(states, k), components)
+        assert_same_saturation(scaling_automaton(states, k, letters), components)
 
 
 # (states, letters, seed) of random_automaton(Random(seed), ...): one state;
