@@ -348,6 +348,13 @@ def _parse_probability(value: object) -> Fraction:
     raise ValidationError(f"probability must be a rational string, got {value!r}")
 
 
+def _check_array(value: object, what: str) -> Sequence:
+    """`value`, which must be a JSON array: a list, or a tuple."""
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"{what} must be an array, got {value!r}")
+    return value
+
+
 def automaton_from_json(document: Mapping) -> Automaton:
     """Build and validate an automaton from an interchange-format dictionary."""
     if not isinstance(document, Mapping):
@@ -355,8 +362,13 @@ def automaton_from_json(document: Mapping) -> Automaton:
     for field in ("states", "alphabet", "initial", "final", "transitions"):
         if field not in document:
             raise ValidationError(f"missing field {field!r}")
-    states = tuple(_check_name(s, "state name") for s in document["states"])
-    alphabet = tuple(_check_name(a, "letter name") for a in document["alphabet"])
+    states = tuple(
+        _check_name(s, "state name") for s in _check_array(document["states"], "states")
+    )
+    alphabet = tuple(
+        _check_name(a, "letter name")
+        for a in _check_array(document["alphabet"], "alphabet")
+    )
     if len(set(states)) != len(states):
         raise ValidationError("duplicate state names")
     index = {s: i for i, s in enumerate(states)}
@@ -371,16 +383,20 @@ def automaton_from_json(document: Mapping) -> Automaton:
     for letter in alphabet:
         rows = [[ZERO] * dim for _ in range(dim)]
         seen: set[tuple[int, int]] = set()
-        for triple in transitions.get(letter, ()):
-            if not isinstance(triple, Sequence) or len(triple) != 3:
+        triples = transitions.get(letter, [])
+        for triple in _check_array(triples, f"letter {letter!r}: transitions"):
+            if not isinstance(triple, (list, tuple)) or len(triple) != 3:
                 raise ValidationError(
                     f"letter {letter!r}: each transition must be [from, to, probability]"
                 )
             src, dst, prob = triple
-            if src not in index:
-                raise ValidationError(f"letter {letter!r}: unknown state {src!r}")
-            if dst not in index:
-                raise ValidationError(f"letter {letter!r}: unknown state {dst!r}")
+            for state in (src, dst):
+                if not isinstance(state, str):
+                    raise ValidationError(
+                        f"letter {letter!r}: state name must be a string, got {state!r}"
+                    )
+                if state not in index:
+                    raise ValidationError(f"letter {letter!r}: unknown state {state!r}")
             key = (index[src], index[dst])
             if key in seen:
                 raise ValidationError(
@@ -389,8 +405,8 @@ def automaton_from_json(document: Mapping) -> Automaton:
             seen.add(key)
             rows[key[0]][key[1]] = _parse_probability(prob)
         matrices.append(tuple(tuple(row) for row in rows))
-    final = document["final"]
-    if isinstance(final, str):
+    final = _check_array(document["final"], "final")
+    if not all(isinstance(f, str) for f in final):
         raise ValidationError("final must be an array of state names")
     return Automaton(
         states=states,

@@ -75,8 +75,15 @@ class ExtendedLimitWord:
         return (self.word.sort_key(), self.support.sort_key())
 
 
+@dataclass(frozen=True)
 class ExtendedClosure(Closure[ExtendedLimitWord]):
-    """All extended pairs generated by an automaton's letters."""
+    """All extended pairs generated by an automaton's letters.
+
+    `idempotents` holds the pairs whose word and support are both
+    idempotent, as the saturation found them.
+    """
+
+    idempotents: frozenset[ExtendedLimitWord]
 
     def projection(self) -> frozenset[LimitWord]:
         """The set of limit-word components of the pairs."""
@@ -104,13 +111,14 @@ def extended_markov_monoid(
     automaton: Automaton, cap: int = DEFAULT_CAP
 ) -> ExtendedClosure:
     """Saturate letter pairs under concatenation and iterates-on-idempotents."""
-    pairs, expressions, heights = saturate(automaton, 2, cap)
+    pairs, expressions, heights, idempotents = saturate(automaton, 2, cap)
     elements = tuple(ExtendedLimitWord(*pair) for pair in pairs)
     return ExtendedClosure(
         automaton=automaton,
         elements=elements,
         provenance=dict(zip(elements, expressions)),
         heights=dict(zip(elements, heights)),
+        idempotents=frozenset(elements[i] for i in idempotents),
     )
 
 
@@ -129,11 +137,12 @@ class LeakWitness:
 
 
 def find_leak_witness(closure: ExtendedClosure) -> Optional[LeakWitness]:
-    """The least leak witness (by element, then by the pair (r, q)), or None."""
+    """The least leak witness (by element, then by the pair (r, q)), or None.
+
+    Only the closure's `idempotents` can leak; they are not tested again.
+    """
     candidates: list[tuple[tuple, ExtendedLimitWord, int, int]] = []
-    for pair in closure.elements:
-        if not pair.is_idempotent():
-            continue
+    for pair in closure.idempotents:
         word, support = pair.word, pair.support
         recurrent = word.recurrent_states()
         leak: Optional[tuple[int, int]] = None

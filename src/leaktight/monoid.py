@@ -20,13 +20,7 @@ from typing import TYPE_CHECKING, Generic, Iterable, Mapping, Optional, TypeVar
 from .automaton import Automaton
 from .errors import CapExceeded, ValidationError
 from .limitword import LimitWord
-from .sharpexpr import (
-    SharpExpression,
-    concat_expr,
-    epsilon_expr,
-    iterate_expr,
-    letter_expr,
-)
+from .sharpexpr import Concat, Iterate, SharpExpression, epsilon_expr, letter_expr
 
 if TYPE_CHECKING:  # pragma: no cover
     from .leaks import ExtendedClosure
@@ -111,8 +105,11 @@ DEFAULT_CAP = 2**20
 # of that component (times `spread`).
 #
 # Provenance is kept as back-pointers, (p, g) for a product and i for an
-# iterate, and turned into expressions once per element at the end, which
-# also re-checks every iterate's idempotency precondition.
+# iterate.  At the end each key is decoded to its limit words once, and each
+# back-pointer becomes an expression node that carries its element's word:
+# nothing is multiplied again, and the iterates' idempotency preconditions
+# are the slot-wise squares' findings.  The tests re-derive every word and
+# idempotent with the scalar `LimitWord` operations.
 
 # Most elements one wide-int pass packs; it bounds the memory of a pass.
 _SLOTS = 256
@@ -135,14 +132,16 @@ def saturate(
     components: int,
     cap: int,
     max_height: int = sys.maxsize,
-) -> tuple[list[tuple[LimitWord, ...]], list[SharpExpression], list[int]]:
+) -> tuple[list[tuple[LimitWord, ...]], list[SharpExpression], list[int], list[int]]:
     """Saturate the automaton's letters under products and iterates.
 
     Elements are tuples of `components` limit words; the identity and each
     letter are seeded with their word as every component.  Iterates nest
     at most `max_height` deep.  Returns, per element in discovery order, its
     components, its expression and its least iterate-nesting height;
-    heights never fall in discovery order.
+    heights never fall in discovery order.  The fourth list holds the
+    indices, ascending, of every element whose components are all
+    idempotent.
     """
     n, k = len(automaton.states), components
     full, spread, masks, shifts, words = _layout(n, k)
@@ -260,10 +259,15 @@ def saturate(
         return key & ~((full ^ recurrent) * spread)
 
     close(0, 0)
+    found: list[int] = []
     level, start = 0, 0
-    while level < max_height:
+    while True:
         old = len(keys)
-        for i in idempotents(start, old):
+        layer = idempotents(start, old)
+        found += layer
+        if level >= max_height:
+            break
+        for i in layer:
             v = iterate(keys[i])
             if v not in known:
                 add(v, i, level + 1)
@@ -273,21 +277,21 @@ def saturate(
             break
         level, start = level + 1, old
 
-    expressions: list[SharpExpression] = []
-    for source in sources:
-        if isinstance(source, tuple):
-            p, q = source
-            expressions.append(concat_expr(expressions[p], expressions[q]))
-        elif isinstance(source, int):
-            expressions.append(iterate_expr(expressions[source]))
-        else:
-            expressions.append(source)
     spans = [slice(c * n, (c + 1) * n) for c in range(k)]
     elements = [
         tuple([LimitWord(n, rows[span]) for span in spans])
         for rows in map(right_form, keys)
     ]
-    return elements, expressions, heights
+    expressions: list[SharpExpression] = []
+    for source, (word, *_) in zip(sources, elements):
+        if isinstance(source, tuple):
+            p, q = source
+            expressions.append(Concat(expressions[p], expressions[q], word))
+        elif isinstance(source, int):
+            expressions.append(Iterate(expressions[source], word))
+        else:
+            expressions.append(source)
+    return elements, expressions, heights, found
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +331,7 @@ def _plain_saturation(
     automaton: Automaton, cap: int, max_height: int = sys.maxsize
 ) -> MonoidClosure:
     """The Markov monoid's elements of iterate-nesting height ≤ `max_height`."""
-    words, expressions, heights = saturate(automaton, 1, cap, max_height)
+    words, expressions, heights, _ = saturate(automaton, 1, cap, max_height)
     elements = tuple(word for (word,) in words)
     return MonoidClosure(
         automaton=automaton,

@@ -14,8 +14,10 @@ were batched over wide ints: the same right-Cayley enumeration, one scalar
 product at a time.  Its layer loop follows the engine's: each iterate that
 is not yet an element becomes a generator and is closed over at once, and
 an iterate that is already an element is skipped.  The batched engine must
-return the same elements, expressions and heights in the same order, and
-fail at the same element.
+return the same elements, expressions, heights and idempotents in the same
+order, and fail at the same element.  Unlike the engine, this loop derives
+each expression's word by `concat_expr` / `iterate_expr` and tests each
+element's idempotency by a scalar square.
 """
 
 from __future__ import annotations
@@ -134,6 +136,7 @@ def reference_extended_markov_monoid(
         elements=order,
         provenance=expressions,
         heights=heights,
+        idempotents=frozenset(pair for pair in order if pair.is_idempotent()),
     )
 
 
@@ -142,14 +145,17 @@ def reference_cayley_saturate(
     components: int,
     cap: int,
     max_height: int = sys.maxsize,
-) -> tuple[list[tuple[LimitWord, ...]], list[SharpExpression], list[int]]:
+) -> tuple[list[tuple[LimitWord, ...]], list[SharpExpression], list[int], list[int]]:
     """Saturate the automaton's letters under products and iterates.
 
     Elements are tuples of `components` limit words; the identity and each
     letter are seeded with their word as every component.  Iterates nest
     at most `max_height` deep.  Returns, per element in discovery order, its
     components, its expression and its least iterate-nesting height;
-    heights never fall in discovery order.
+    heights never fall in discovery order.  The fourth list holds the
+    indices, ascending, of every element whose components are all
+    idempotent.  Expressions are built by `concat_expr` and `iterate_expr`,
+    so every word is recomputed and every iterate's precondition checked.
     """
     n, k = len(automaton.states), components
     full = (1 << n) - 1
@@ -251,7 +257,8 @@ def reference_cayley_saturate(
         tuple([LimitWord(n, rows[span]) for span in spans])
         for rows in map(right_form, keys)
     ]
-    return elements, expressions, heights
+    idempotents = [i for i, key in enumerate(keys) if is_idempotent(key)]
+    return elements, expressions, heights, idempotents
 
 
 class _WitnessFound(Exception):

@@ -230,6 +230,47 @@ def test_json_rejects_duplicate_transition() -> None:
         automaton_from_json(payload)
 
 
+# Documents that are not in the interchange format: a field that must be an
+# array holds something else, or a state is named by a non-string.  Each must
+# be refused with a ValidationError, neither crash nor be read some other way.
+MALFORMED = {
+    "states-number": ({"states": 5}, "states must be an array"),
+    "states-string": ({"states": "pq"}, "states must be an array"),
+    "alphabet-string": ({"alphabet": "ab"}, "alphabet must be an array"),
+    "final-number": ({"final": 3}, "final must be an array"),
+    "final-string": ({"final": "p"}, "final must be an array"),
+    "final-nested": ({"final": [["p"]]}, "final must be an array of state names"),
+    "transitions-number": ({"transitions": {"a": 5}}, "'a': transitions must be an array"),
+    "transition-string": (
+        {"transitions": {"a": ["pp1"]}},
+        "each transition must be",
+    ),
+    "source-array": (
+        {"transitions": {"a": [[["p"], "p", "1"]]}},
+        "state name must be a string",
+    ),
+    "target-number": (
+        {"transitions": {"a": [["p", 0, "1"]]}},
+        "state name must be a string",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_json_rejects_malformed_documents(name: str) -> None:
+    change, message = MALFORMED[name]
+    document = {
+        "states": ["p"],
+        "alphabet": ["a"],
+        "initial": "p",
+        "final": ["p"],
+        "transitions": {"a": [["p", "p", "1"]]},
+    }
+    automaton_from_json(document)
+    with pytest.raises(ValidationError, match=message):
+        automaton_from_json({**document, **change})
+
+
 def test_render_mentions_every_state() -> None:
     text = render_automaton(fig3())
     for state in fig3().states:

@@ -328,6 +328,32 @@ def test_invalid_automaton_is_exit_1(capsys, tmp_path) -> None:
     assert "row sum" in captured.err
 
 
+def test_malformed_documents_are_exit_1(capsys, monkeypatch) -> None:
+    import io
+
+    document = {
+        "states": ["p"],
+        "alphabet": ["a"],
+        "initial": "p",
+        "final": [],
+        "transitions": {"a": [["p", "p", "1"]]},
+    }
+    for change in (
+        {"final": 3},
+        {"states": 5},
+        {"transitions": {"a": 5}},
+        {"final": [["p"]]},
+        {"transitions": {"a": [[["p"], "p", "1"]]}},
+    ):
+        payload = json.dumps({**document, **change})
+        monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+        code = main(["validate", "-"])
+        captured = capsys.readouterr()
+        assert code == 1, change
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+
 def test_cap_is_exit_2(capsys, fixture_file) -> None:
     code = main(["monoid", fixture_file("fig1", fig1(F(1, 2))), "--cap", "5"])
     captured = capsys.readouterr()

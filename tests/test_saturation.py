@@ -1,23 +1,28 @@
 """The generator-based saturation engine against the all-pairs reference.
 
 Both closures must come out as the reference computes them: the same
-element sets and the same heights, and the same `CapExceeded` when the cap
-is too small.  The engines enumerate in different orders, so discovery
-order and the witnessing expressions may differ; each expression must
-evaluate to its element (an extended pair's word component) at the
-element's recorded height, and heights must never fall in discovery order.
+element sets and the same heights, the same idempotent pairs in the
+extended closure, and the same `CapExceeded` when the cap is too small.
+The engines enumerate in different orders, so discovery order and the
+witnessing expressions may differ; each expression, re-evaluated from its
+letters, must evaluate to its element (an extended pair's word component)
+at the element's recorded height, and heights must never fall in
+discovery order.
 The height-bounded witness search, which runs on the same engine, must find
 a witness exactly when the reference heap search does.
 
 Against the scalar right-Cayley loop the engine batches, the comparison is
-exact: the same elements, rendered expressions and heights, in the same
-order, and the same `CapExceeded` message.
+exact: the same elements, rendered expressions with their words, heights
+and idempotents, in the same order, and the same `CapExceeded` message.
+The engine's expressions carry the words it computed; the references and
+`rederive` compute them again with the scalar operations.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -31,8 +36,17 @@ from leaktight import (
     markov_monoid,
 )
 from leaktight.generate import random_automaton
-from leaktight.leaks import ExtendedLimitWord
+from leaktight.leaks import ExtendedClosure, ExtendedLimitWord
 from leaktight.monoid import DEFAULT_CAP, saturate
+from leaktight.sharpexpr import (
+    Concat,
+    Epsilon,
+    Iterate,
+    concat_expr,
+    epsilon_expr,
+    iterate_expr,
+    letter_expr,
+)
 
 from .helpers import automata, corpus, seeded_automaton, seeded_closure, seeded_extended
 from .reference_saturation import (
@@ -67,6 +81,27 @@ def reference_closure(kind: str, seed: int):
     return BUILDERS[kind][1](seeded_automaton(seed))
 
 
+def rederive(expression, automaton, memo: dict):
+    """The expression rebuilt from its leaves by `concat_expr` and
+    `iterate_expr`, which recompute every word and re-check every iterate's
+    precondition; memoised by node, as expressions share their subterms."""
+    rebuilt = memo.get(id(expression))
+    if rebuilt is None:
+        if isinstance(expression, Concat):
+            rebuilt = concat_expr(
+                rederive(expression.left, automaton, memo),
+                rederive(expression.right, automaton, memo),
+            )
+        elif isinstance(expression, Iterate):
+            rebuilt = iterate_expr(rederive(expression.child, automaton, memo))
+        elif isinstance(expression, Epsilon):
+            rebuilt = epsilon_expr(len(automaton.states))
+        else:
+            rebuilt = letter_expr(automaton, expression.name)
+        memo[id(expression)] = rebuilt
+    return rebuilt
+
+
 def assert_same_closure(closure, reference) -> None:
     assert len(closure.elements) == len(reference.elements)
     assert closure.heights == reference.heights
@@ -74,10 +109,17 @@ def assert_same_closure(closure, reference) -> None:
     order = [closure.heights[u] for u in closure.elements]
     assert order == sorted(order)
     assert closure.provenance.keys() == closure.heights.keys()
-    for element, expression in closure.provenance.items():
+    # The engine's expressions carry its own words; recompute them.  In
+    # discovery order, each expression's subterms are met before it.
+    memo: dict = {}
+    for element in closure.elements:
+        expression = closure.provenance[element]
         word = element.word if isinstance(element, ExtendedLimitWord) else element
+        assert rederive(expression, closure.automaton, memo).word == word
         assert expression.word == word
         assert expression.height == closure.heights[element]
+    if isinstance(closure, ExtendedClosure):
+        assert closure.idempotents == reference.idempotents
 
 
 def outcome(build, automaton, cap: int):
@@ -169,13 +211,23 @@ def test_closures_match_reference_on_drawn_automata(automaton) -> None:
 # The batched engine against the scalar right-Cayley loop
 
 
-def saturation(engine, automaton, components: int, cap: int = DEFAULT_CAP):
-    """Elements, rendered expressions and heights, or the cap message."""
+def saturation(
+    engine,
+    automaton,
+    components: int,
+    cap: int = DEFAULT_CAP,
+    max_height: int = sys.maxsize,
+):
+    """Elements, expressions (rendered, with their words), heights and
+    idempotent indices, or the cap message."""
     try:
-        elements, expressions, heights = engine(automaton, components, cap)
+        elements, expressions, heights, idempotents = engine(
+            automaton, components, cap, max_height
+        )
     except CapExceeded as error:
         return str(error)
-    return elements, [expression.render() for expression in expressions], heights
+    rendered = [(expression.render(), expression.word) for expression in expressions]
+    return elements, rendered, heights, idempotents
 
 
 def assert_same_saturation(automaton, components: int, cap: int = DEFAULT_CAP) -> None:
@@ -210,6 +262,21 @@ def test_saturation_order_matches_scalar_loop_on_hard_scaling_automata(
 ) -> None:
     for components in (1, 2):
         assert_same_saturation(scaling_automaton(states, k, letters), components)
+
+
+def test_saturation_order_matches_scalar_loop_at_every_height_bound() -> None:
+    # Under a height bound the last layer's iterates are not taken, but its
+    # idempotents are still reported.
+    for seed in range(0, 500, 5):
+        automaton = seeded_automaton(seed)
+        for components in (1, 2):
+            top = max(saturate(automaton, components, DEFAULT_CAP)[2])
+            for bound in range(top + 1):
+                assert saturation(
+                    saturate, automaton, components, max_height=bound
+                ) == saturation(
+                    reference_cayley_saturate, automaton, components, max_height=bound
+                )
 
 
 # (states, letters, seed) of random_automaton(Random(seed), ...): one state;
