@@ -34,6 +34,7 @@ from .oracle import (
     check_lower_bound,
     evaluate_family_at,
     parse_family,
+    validate_thresholds,
 )
 from .reduction import (
     probabilistic_row_count,
@@ -287,6 +288,7 @@ def _run_reify_check(args: argparse.Namespace) -> dict:
     n = bindings.get("n", 12)
     if n < 1:
         raise ValidationError("reification parameter n must be at least 1")
+    validate_thresholds(args.eps, args.delta)
     # Saturated, not derived from the extended closure: the plain
     # saturation's expressions can be shorter, and reifying them is cheaper.
     closure = markov_monoid(automaton, args.cap)
@@ -301,7 +303,9 @@ def _run_reify_check(args: argparse.Namespace) -> dict:
         {
             "expression": report.expression.render(),
             "status": report.status,
-            "failures": [
+            "failures": []
+            if report.ok
+            else [
                 {
                     "from": automaton.states[entry.s],
                     "to": automaton.states[entry.t],

@@ -4,14 +4,22 @@ Everything here is exact rational arithmetic.  Expressions over letters are
 turned into concrete words (an iterate becomes a large power of its body) or
 evaluated directly as matrix products with memoized powers; the resulting
 probabilities are compared against the boolean claims of the limit words.
+
+The evaluator's memo is keyed by node identity, not by the expression tree:
+a closure's provenance shares each node among the elements built on it, so
+identity finds every repeat without hashing a tree.  The memo holds each
+node it keys, so no id is reused while the memo lives.  A consistency
+report decides its verdict on ints when it is built and makes its
+per-entry `EntryCheck`s only when they are read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .automaton import (
     Automaton,
@@ -45,6 +53,7 @@ __all__ = [
     "expression_matrix",
     "EntryCheck",
     "ReificationReport",
+    "validate_thresholds",
     "check_consistency",
     "LowerBoundEntry",
     "LowerBoundReport",
@@ -434,9 +443,13 @@ def expression_matrix(
 ) -> Matrix:
     """The exact transition matrix of reify(expression, n), without the word.
 
-    Structural evaluation with fast matrix powers: equal subexpressions are
-    computed once via the memo, which may be shared across calls at the
-    same n.  The memo holds scaled matrices (`automaton.ScaledMatrix`).
+    Structural evaluation with fast matrix powers: each node is computed
+    once per n via the memo, which may be shared across calls.  The memo is
+    keyed by node identity and holds the node with its scaled matrix
+    (`automaton.ScaledMatrix`), so a node's id cannot be reused while the
+    memo lives.  Equal nodes that are distinct objects, such as the results
+    of two `parse_expression` calls, are each evaluated once; closure
+    provenance shares its nodes, so there every repeat is found.
     """
     return unscale_matrix(_expression_scaled(automaton, expression, n, memo))
 
@@ -452,10 +465,10 @@ def _expression_scaled(
     table = {} if memo is None else memo
 
     def evaluate(node: SharpExpression) -> ScaledMatrix:
-        key = (node, n)
+        key = (id(node), n)
         hit = table.get(key)
         if hit is not None:
-            return hit
+            return hit[1]
         if isinstance(node, Epsilon):
             result = scaled_identity(len(automaton.states))
         elif isinstance(node, Letter):
@@ -466,7 +479,7 @@ def _expression_scaled(
             result = scaled_power(
                 evaluate(node.child), reification_exponent(node, n)
             )
-        table[key] = result
+        table[key] = (node, result)
         return result
 
     return evaluate(expression)
@@ -494,24 +507,67 @@ class EntryCheck:
 
 @dataclass(frozen=True)
 class ReificationReport:
-    """Thresholded comparison of one element against its reified expression."""
+    """Thresholded comparison of one element against its reified expression.
+
+    `matrix` is the exact scaled matrix of the reified word.  The verdict
+    `ok` is decided on ints when the report is built: every entry claimed 0
+    is at most `zero_eps` and every entry claimed 1 at least `one_delta`.
+    The per-entry `EntryCheck`s, row-major, are built when `entries` is
+    first read.
+    """
 
     element: LimitWord
     expression: SharpExpression
     n: int
-    entries: tuple[EntryCheck, ...]
+    matrix: ScaledMatrix
+    zero_eps: Fraction
+    one_delta: Fraction
+    ok: bool = field(init=False)
 
     def __post_init__(self) -> None:
-        if len(self.entries) != self.element.dim**2:
+        rows = self.matrix[0]
+        dim = self.element.dim
+        if len(rows) != dim or any(len(row) != dim for row in rows):
             raise ValidationError("report must cover every state pair")
+        object.__setattr__(self, "ok", all(self._verdicts()))
 
-    @property
-    def ok(self) -> bool:
-        return all(entry.ok for entry in self.entries)
+    def _verdicts(self) -> Iterator[bool]:
+        """Each entry's threshold check, row-major, on ints."""
+        rows, denominator = self.matrix
+        # measured = x / denominator, compared with the thresholds on ints.
+        eps_den, delta_den = self.zero_eps.denominator, self.one_delta.denominator
+        zero_limit = self.zero_eps.numerator * denominator
+        one_limit = self.one_delta.numerator * denominator
+        return (
+            x * delta_den >= one_limit if bits >> t & 1 else x * eps_den <= zero_limit
+            for bits, row in zip(self.element.rows, rows)
+            for t, x in enumerate(row)
+        )
+
+    @functools.cached_property
+    def entries(self) -> tuple[EntryCheck, ...]:
+        rows, denominator = self.matrix
+        pairs = (
+            (s, t, bits >> t & 1, x)
+            for s, (bits, row) in enumerate(zip(self.element.rows, rows))
+            for t, x in enumerate(row)
+        )
+        return tuple(
+            EntryCheck(s, t, claimed, x, denominator, ok)
+            for (s, t, claimed, x), ok in zip(pairs, self._verdicts())
+        )
 
     @property
     def status(self) -> str:
         return "pass" if self.ok else f"inconclusive at n={self.n}"
+
+
+def validate_thresholds(zero_eps: Fraction, one_delta: Fraction) -> None:
+    """Require 0 ≤ zero_eps < 1 and 0 < one_delta ≤ 1."""
+    if not 0 <= zero_eps < 1:
+        raise ValidationError(f"zero_eps must be in [0, 1), got {zero_eps}")
+    if not 0 < one_delta <= 1:
+        raise ValidationError(f"one_delta must be in (0, 1], got {one_delta}")
 
 
 def check_consistency(
@@ -530,37 +586,20 @@ def check_consistency(
     inconclusive at this n, not that the claim is refuted.  The thresholds
     must satisfy 0 ≤ zero_eps < 1 and 0 < one_delta ≤ 1.
     """
-    if not 0 <= zero_eps < 1:
-        raise ValidationError(f"zero_eps must be in [0, 1), got {zero_eps}")
-    if not 0 < one_delta <= 1:
-        raise ValidationError(f"one_delta must be in (0, 1], got {one_delta}")
+    validate_thresholds(zero_eps, one_delta)
     eps, delta = Fraction(zero_eps), Fraction(one_delta)
     memo: dict = {}
     reports = []
-    dim = len(automaton.states)
     for element in closure.elements:
         expression = closure.provenance[element]
-        rows, denominator = _expression_scaled(automaton, expression, n, memo)
-        # measured = x / denominator, compared with the thresholds on ints.
-        zero_limit = eps.numerator * denominator
-        one_limit = delta.numerator * denominator
-        entries = []
-        for s in range(dim):
-            for t in range(dim):
-                claimed = 1 if (s, t) in element else 0
-                x = rows[s][t]
-                ok = (
-                    x * delta.denominator >= one_limit
-                    if claimed
-                    else x * eps.denominator <= zero_limit
-                )
-                entries.append(EntryCheck(s, t, claimed, x, denominator, ok))
         reports.append(
             ReificationReport(
                 element=element,
                 expression=expression,
                 n=n,
-                entries=tuple(entries),
+                matrix=_expression_scaled(automaton, expression, n, memo),
+                zero_eps=eps,
+                one_delta=delta,
             )
         )
     return reports

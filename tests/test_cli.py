@@ -396,6 +396,9 @@ def test_non_rational_threshold_names_the_flag(capsys, fixture_file) -> None:
         (["--eps", "1"], "zero_eps must be in [0, 1), got 1"),
         (["--delta", "0"], "one_delta must be in (0, 1], got 0"),
         (["--delta", "3/2"], "one_delta must be in (0, 1], got 3/2"),
+        # checked before saturating: the closure would exceed a cap of 1
+        (["--eps", "1", "--cap", "1"], "zero_eps must be in [0, 1), got 1"),
+        (["--delta", "0", "--cap", "1"], "one_delta must be in (0, 1], got 0"),
     ],
 )
 def test_out_of_range_threshold_is_exit_1(capsys, fixture_file, flags, message) -> None:

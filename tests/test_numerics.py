@@ -8,6 +8,7 @@ same `CapExceeded` messages at the same budgets.
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction as F
 
@@ -31,6 +32,7 @@ from leaktight import (
     matrix_power,
     matrix_product,
     parallel_composition,
+    parse_expression,
     parse_family,
     synchronized_product,
 )
@@ -136,6 +138,32 @@ def test_expression_matrix_matches_reference_on_fixtures() -> None:
                 assert expression_matrix(a, expression, n) == ref.expression_matrix(
                     a, expression, n
                 )
+
+
+def test_shared_memo_is_safe_across_dropped_expressions() -> None:
+    # The memo is keyed by node identity.  Each expression here is parsed
+    # afresh and dropped before the next call, so a memo that did not hold
+    # its nodes could meet a recycled id and return another node's matrix.
+    for name in ("fig3", "rnd3"):
+        a = ZOO[name]()
+        texts = [e.render() for e in markov_monoid(a).provenance.values()]
+        memo: dict = {}
+        for i, text in enumerate(texts):
+            for n in (2, 3) if i % 2 else (3, 2):
+                expected = ref.expression_matrix(a, parse_expression(text, a), n)
+                expression = parse_expression(text, a)
+                assert expression_matrix(a, expression, n, memo) == expected, text
+                del expression
+                gc.collect()
+
+
+def test_consistency_verdict_agrees_with_entries_built_when_read() -> None:
+    for seed in corpus():
+        a, closure = seeded_automaton(seed), seeded_closure(seed)
+        for report in check_consistency(a, closure, n=3):
+            assert "entries" not in vars(report), seed
+            assert report.ok == all(entry.ok for entry in report.entries), seed
+            assert "entries" in vars(report), seed
 
 
 # ---------------------------------------------------------------------------
