@@ -8,9 +8,11 @@ probabilities are compared against the boolean claims of the limit words.
 The evaluator's memo is keyed by node identity, not by the expression tree:
 a closure's provenance shares each node among the elements built on it, so
 identity finds every repeat without hashing a tree.  The memo holds each
-node it keys, so no id is reused while the memo lives.  A consistency
-report decides its verdict on ints when it is built and makes its
-per-entry `EntryCheck`s only when they are read.
+node it keys, so no id is reused while the memo lives.  Both checks decide
+on the reified word's scaled matrix, comparing int numerators against
+their thresholds: a consistency report decides its verdict when it is
+built and makes its per-entry `EntryCheck`s only when they are read; a
+lower-bound report holds one `EntryCheck` per claimed edge.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ __all__ = [
     "ReificationReport",
     "validate_thresholds",
     "check_consistency",
-    "LowerBoundEntry",
     "LowerBoundReport",
     "check_lower_bound",
 ]
@@ -200,7 +201,7 @@ def parse_family(
             )
         _, token = tokens[pos]
         pos += 1
-        if token.isdigit():
+        if token.isdecimal():  # exactly the digit strings `int` accepts
             return int(token)
         if token.isidentifier():
             return token
@@ -610,42 +611,24 @@ def check_consistency(
 
 
 @dataclass(frozen=True)
-class LowerBoundEntry:
-    s: int
-    t: int
-    measured: Fraction
-    ok: bool
-
-
-@dataclass(frozen=True)
 class LowerBoundReport:
+    """Support and lower-bound check of one extended element.
+
+    `entries` holds one `EntryCheck` (with `claimed == 1`) per edge the
+    limit word claims, row-major; each was decided on ints against
+    p_min^(2^depth).
+    """
+
     element: ExtendedLimitWord
     expression: SharpExpression
     n: int
     depth: int
     support_exact: bool
-    entries: tuple[LowerBoundEntry, ...]
+    entries: tuple[EntryCheck, ...]
 
     @property
     def ok(self) -> bool:
         return self.support_exact and all(entry.ok for entry in self.entries)
-
-
-def _at_least_power(measured: Fraction, base: Fraction, exponent: int) -> bool:
-    """Exact comparison measured ≥ base**exponent (base in (0, 1])."""
-    if base == 1:
-        return measured >= 1
-    if measured >= base:
-        return True
-    if measured <= 0:
-        return False
-    if exponent > EXPONENT_CAP:
-        raise CapExceeded(
-            f"budget exceeded: lower-bound exponent {exponent} > {EXPONENT_CAP}"
-        )
-    p, q = base.numerator, base.denominator
-    a, b = measured.numerator, measured.denominator
-    return a * q**exponent >= b * p**exponent
 
 
 def check_lower_bound(
@@ -664,39 +647,42 @@ def check_lower_bound(
     if find_leak_witness(closure) is not None:
         raise ValidationError("precondition violation: leak witness present")
     p_min = automaton.min_transition_probability
+    p, q = p_min.numerator, p_min.denominator
     memo: dict = {}
-    dim = len(automaton.states)
     reports = []
     for element in closure.elements:
         expression = closure.provenance[element]
         rows, denominator = _expression_scaled(automaton, expression, n, memo)
-        support_rows = []
-        for s in range(dim):
-            bits = 0
-            for t in range(dim):
-                if rows[s][t]:
-                    bits |= 1 << t
-            support_rows.append(bits)
-        support_exact = tuple(support_rows) == element.support.rows
+        support = tuple(
+            sum(1 << t for t, x in enumerate(row) if x) for row in rows
+        )
         depth = expression.depth
         exponent = 2**depth
         entries = []
-        for s in range(dim):
-            for t in range(dim):
-                if (s, t) not in element.word:
+        for s, (bits, row) in enumerate(zip(element.word.rows, rows)):
+            for t, x in enumerate(row):
+                if not bits >> t & 1:
                     continue
-                measured = Fraction(rows[s][t], denominator)
-                ok = _at_least_power(measured, p_min, exponent)
-                entries.append(
-                    LowerBoundEntry(s=s, t=t, measured=measured, ok=ok)
-                )
+                # measured = x / denominator against p_min^exponent, on ints.
+                if x * q >= denominator * p:
+                    ok = True
+                elif x == 0 or p == q:
+                    ok = False
+                elif exponent > EXPONENT_CAP:
+                    raise CapExceeded(
+                        f"budget exceeded: lower-bound exponent {exponent} "
+                        f"> {EXPONENT_CAP}"
+                    )
+                else:
+                    ok = x * q**exponent >= denominator * p**exponent
+                entries.append(EntryCheck(s, t, 1, x, denominator, ok))
         reports.append(
             LowerBoundReport(
                 element=element,
                 expression=expression,
                 n=n,
                 depth=depth,
-                support_exact=support_exact,
+                support_exact=support == element.support.rows,
                 entries=tuple(entries),
             )
         )

@@ -15,8 +15,10 @@ import math
 from fractions import Fraction
 from typing import Mapping, Optional
 
+from leaktight import oracle
 from leaktight.automaton import Automaton, Matrix, ScaledMatrix, identity_matrix
 from leaktight.errors import CapExceeded, ValidationError
+from leaktight.leaks import ExtendedClosure, find_leak_witness
 from leaktight.limitword import LimitWord
 from leaktight.monoid import MonoidClosure
 from leaktight.oracle import (
@@ -316,4 +318,60 @@ def consistency_entries(
                 ok = measured >= one_delta if claimed else measured <= zero_eps
                 entries.append((s, t, claimed, measured, ok))
         reports.append(entries)
+    return reports
+
+
+def _at_least_power(measured: Fraction, base: Fraction, exponent: int) -> bool:
+    """Exact comparison measured ≥ base**exponent (base in (0, 1])."""
+    if base == 1:
+        return measured >= 1
+    if measured >= base:
+        return True
+    if measured <= 0:
+        return False
+    if exponent > oracle.EXPONENT_CAP:
+        raise CapExceeded(
+            f"budget exceeded: lower-bound exponent {exponent} > {oracle.EXPONENT_CAP}"
+        )
+    p, q = base.numerator, base.denominator
+    a, b = measured.numerator, measured.denominator
+    return a * q**exponent >= b * p**exponent
+
+
+def lower_bound_reports(
+    automaton: Automaton, closure: ExtendedClosure, n: int
+) -> list[tuple[int, bool, bool, list[tuple[int, int, Fraction, bool]]]]:
+    """The `Fraction` loop of `check_lower_bound`: (depth, support_exact, ok,
+    [(s, t, measured, ok) per claimed entry]) for every element, in report
+    order.  Reads `oracle.EXPONENT_CAP` when it compares, so a patched cap
+    applies here too."""
+    if find_leak_witness(closure) is not None:
+        raise ValidationError("precondition violation: leak witness present")
+    p_min = min_transition_probability(automaton)
+    memo: dict = {}
+    dim = len(automaton.states)
+    reports = []
+    for element in closure.elements:
+        expression = closure.provenance[element]
+        matrix = expression_matrix(automaton, expression, n, memo)
+        support_rows = []
+        for s in range(dim):
+            bits = 0
+            for t in range(dim):
+                if matrix[s][t]:
+                    bits |= 1 << t
+            support_rows.append(bits)
+        support_exact = tuple(support_rows) == element.support.rows
+        depth = expression.depth
+        exponent = 2**depth
+        entries = []
+        for s in range(dim):
+            for t in range(dim):
+                if (s, t) not in element.word:
+                    continue
+                measured = matrix[s][t]
+                ok = _at_least_power(measured, p_min, exponent)
+                entries.append((s, t, measured, ok))
+        ok = support_exact and all(entry[3] for entry in entries)
+        reports.append((depth, support_exact, ok, entries))
     return reports

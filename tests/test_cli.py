@@ -496,6 +496,15 @@ def test_bad_family_template_is_exit_1(capsys, fixture_file) -> None:
     assert "family syntax error" in capsys.readouterr().err
 
 
+def test_non_ascii_digit_exponent_is_exit_1(capsys, fixture_file) -> None:
+    # '²'.isdigit() is true, but int('²') raises ValueError.
+    assert main(["estimate-value", fixture_file("fig3"), "(a)^²"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "exponent '²' is neither a natural number nor a parameter name" in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # Console script
 

@@ -1,14 +1,17 @@
-"""Source hygiene: no module of the package imports a name it never uses."""
+"""Source hygiene: no module of the package imports a name it never uses,
+and every name a module lists in `__all__` is bound in it."""
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "leaktight"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+EVERY_MODULE = sorted(PACKAGE.glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -54,3 +57,11 @@ def test_every_imported_name_is_used(path: Path) -> None:
         if name not in used
     ]
     assert not unused, "unused imports:\n" + "\n".join(unused)
+
+
+@pytest.mark.parametrize("path", EVERY_MODULE, ids=lambda p: p.name)
+def test_every_exported_name_is_bound(path: Path) -> None:
+    name = "leaktight" if path.name == "__init__.py" else f"leaktight.{path.stem}"
+    module = importlib.import_module(name)
+    unbound = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert not unbound, f"{path.name}: __all__ lists unbound names {unbound}"

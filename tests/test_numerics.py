@@ -25,6 +25,7 @@ from leaktight import (
     check_lower_bound,
     evaluate_family_at,
     expression_matrix,
+    extended_markov_monoid,
     find_leak_witness,
     is_deterministic,
     letter_abstraction,
@@ -36,6 +37,7 @@ from leaktight import (
     parse_family,
     synchronized_product,
 )
+from leaktight import oracle
 from leaktight.automaton import POWER_DENOMINATOR_BITS, scaled_power
 from leaktight.generate import perturb, random_automaton
 from leaktight.reduction import (
@@ -107,6 +109,20 @@ def test_consistency_matches_reference_at_n6(seeds) -> None:
         ), seed
 
 
+def _lower_bound(reports) -> list[tuple]:
+    """Every report field, and each entry's (s, t, measured, ok)."""
+    assert all(e.claimed == 1 for report in reports for e in report.entries)
+    return [
+        (
+            report.depth,
+            report.support_exact,
+            report.ok,
+            [(e.s, e.t, e.measured, e.ok) for e in report.entries],
+        )
+        for report in reports
+    ]
+
+
 def test_lower_bound_matches_reference_on_leaktight_corpus() -> None:
     checked = 0
     for seed in corpus():
@@ -114,18 +130,45 @@ def test_lower_bound_matches_reference_on_leaktight_corpus() -> None:
         if find_leak_witness(extended) is not None:
             continue
         a = seeded_automaton(seed)
-        memo: dict = {}
-        for report in check_lower_bound(a, extended):
-            matrix = ref.expression_matrix(a, report.expression, report.n, memo)
-            support = tuple(
-                sum(1 << t for t, entry in enumerate(row) if entry) for row in matrix
-            )
-            assert report.support_exact == (support == report.element.support.rows)
-            assert [(e.s, e.t, e.measured) for e in report.entries] == [
-                (e.s, e.t, matrix[e.s][e.t]) for e in report.entries
-            ], seed
-            checked += 1
+        assert _lower_bound(check_lower_bound(a, extended)) == (
+            ref.lower_bound_reports(a, extended, 3)
+        ), seed
+        checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("name", ["fig3", "det1", "hier2", "rnd3"])
+def test_lower_bound_matches_reference_on_fixtures(name) -> None:
+    a = ZOO[name]()
+    extended = extended_markov_monoid(a)
+    for n in (1, 2, 3):
+        assert _lower_bound(check_lower_bound(a, extended, n=n)) == (
+            ref.lower_bound_reports(a, extended, n)
+        ), n
+
+
+def test_lower_bound_cap_is_raised_at_the_first_entry_below_p_min(
+    monkeypatch,
+) -> None:
+    a, extended = seeded_automaton(0), seeded_extended(0)
+    p_min = a.min_transition_probability
+    below = [
+        (expression.render(), depth)
+        for (depth, _, _, entries), expression in zip(
+            ref.lower_bound_reports(a, extended, 1),
+            (extended.provenance[element] for element in extended.elements),
+        )
+        if any(0 < measured < p_min for _, _, measured, _ in entries)
+    ]
+    assert below[0] == ("b a", 1)
+    monkeypatch.setattr(oracle, "EXPONENT_CAP", 1)
+    message = "budget exceeded: lower-bound exponent 2 > 1"
+    with pytest.raises(CapExceeded) as raised:
+        check_lower_bound(a, extended, n=1)
+    assert str(raised.value) == message
+    with pytest.raises(CapExceeded) as raised:
+        ref.lower_bound_reports(a, extended, 1)
+    assert str(raised.value) == message
 
 
 def test_expression_matrix_matches_reference_on_fixtures() -> None:

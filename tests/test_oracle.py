@@ -72,6 +72,8 @@ def test_family_literal_powers() -> None:
     family = parse_family("a^3 b")
     assert family.parameters() == frozenset()
     assert family_word(family, {}) == ("a", "a", "a", "b")
+    # Any Unicode decimal digit string is a natural, as `int` reads it.
+    assert parse_family("a^٣ b") == family
 
 
 def test_family_nested_groups() -> None:
@@ -80,7 +82,7 @@ def test_family_nested_groups() -> None:
 
 
 def test_family_syntax_errors() -> None:
-    for bad in ("", "(a", "a^", "a^^2", ")a(", "a^-1"):
+    for bad in ("", "(a", "a^", "a^^2", ")a(", "a^-1", "a^²"):
         with pytest.raises(ValidationError, match="family syntax error at offset"):
             parse_family(bad)
 
