@@ -170,6 +170,34 @@ def test_reify_check_saturates_the_closure_it_reifies(capsys, fixture_file, call
     }
 
 
+# The full `value1` and `leaktight` reports, without `elapsed_ms` and with the
+# input path as "<input>", of the scaling automata
+# random_automaton(Random(1000 * states + k), states, letters=2): the eleven
+# of the benchmark's decide-scale workload and the hard seeds (5,0), (5,3)
+# and (6,4).  A change to a witness text fails here; list it in CHANGES.md.
+PINNED_CLI = Path(__file__).resolve().parent / "pinned_cli.json"
+PINNED_SCALING = (
+    (4, 0), (4, 1), (4, 2), (4, 3), (4, 4), (4, 5),
+    (5, 1), (5, 2), (5, 4), (5, 5), (6, 5),
+    (5, 0), (5, 3), (6, 4),
+)
+
+
+@pytest.mark.parametrize("states,k", PINNED_SCALING)
+def test_decision_reports_match_the_pinned_json(capsys, fixture_file, states, k) -> None:
+    pinned = json.loads(PINNED_CLI.read_text(encoding="utf-8"))
+    automaton = random_automaton(random.Random(1000 * states + k), states=states, letters=2)
+    path = fixture_file(f"scale-{states}-{k}", automaton)
+    for command in ("value1", "leaktight"):
+        report = run_json(capsys, [command, path])
+        report.pop("elapsed_ms")
+        report["argv"] = [command, "<input>"]
+        expected = pinned[f"{command} {states},{k}"]
+        assert json.dumps(report, ensure_ascii=False) == json.dumps(
+            expected, ensure_ascii=False
+        )
+
+
 def test_leaktight_subcommand(capsys, fixture_file) -> None:
     report = run_json(capsys, ["leaktight", fixture_file("fig3")])
     assert report["leaktight"] == "yes"
