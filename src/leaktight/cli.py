@@ -93,6 +93,10 @@ def _bindings(args: argparse.Namespace) -> dict[str, int]:
         try:
             value = int(number)
         except ValueError:
+            if number.isdecimal():  # past Python's limit on digits `int` reads
+                raise ValidationError(
+                    f"--bind {name}: {len(number)} digits, too many to read"
+                ) from None
             raise ValidationError(f"--bind {name}: {number!r} is not a natural") from None
         if value < 0:
             raise ValidationError(f"--bind {name}: must be nonnegative")

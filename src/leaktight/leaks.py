@@ -9,7 +9,7 @@ state escape to somewhere it can never return from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Mapping, Optional
 
 from .automaton import Automaton
 from .errors import ValidationError
@@ -75,15 +75,43 @@ class ExtendedLimitWord:
         return (self.word.sort_key(), self.support.sort_key())
 
 
-@dataclass(frozen=True)
 class ExtendedClosure(Closure[ExtendedLimitWord]):
     """All extended pairs generated by an automaton's letters.
 
     `idempotents` holds the pairs whose word and support are both
-    idempotent, as the saturation found them.
+    idempotent, as the saturation found them; read off a saturation, only
+    they are decoded.
     """
 
-    idempotents: frozenset[ExtendedLimitWord]
+    _idempotents: Optional[frozenset[ExtendedLimitWord]] = None
+
+    def __init__(
+        self,
+        automaton: Automaton,
+        elements: Iterable[ExtendedLimitWord],
+        provenance: Mapping[ExtendedLimitWord, SharpExpression],
+        heights: Mapping[ExtendedLimitWord, int],
+        idempotents: Iterable[ExtendedLimitWord],
+    ) -> None:
+        super().__init__(automaton, elements, provenance, heights)
+        self._idempotents = frozenset(idempotents)
+
+    @staticmethod
+    def _wrap(words: tuple[LimitWord, ...]) -> ExtendedLimitWord:
+        return ExtendedLimitWord(*words)
+
+    @staticmethod
+    def _components(element: ExtendedLimitWord) -> tuple[LimitWord, ...]:
+        return element.word, element.support
+
+    @property
+    def idempotents(self) -> frozenset[ExtendedLimitWord]:
+        if self._idempotents is None:
+            saturation = self._saturation
+            self._idempotents = frozenset(
+                [self._wrap(saturation.words(i)) for i in saturation.idempotents]
+            )
+        return self._idempotents
 
     def projection(self) -> frozenset[LimitWord]:
         """The set of limit-word components of the pairs."""
@@ -94,32 +122,33 @@ class ExtendedClosure(Closure[ExtendedLimitWord]):
 
         Each word keeps the height and the expression of its first pair in
         discovery order; heights never fall in that order, so this is the
-        word's least height.
+        word's least height.  Read off a saturation, the first pairs are
+        found on the keys' word bits, and nothing is decoded.
         """
-        first: dict[LimitWord, ExtendedLimitWord] = {}
-        for pair in self.elements:
-            first.setdefault(pair.word, pair)
-        return MonoidClosure(
-            automaton=self.automaton,
-            elements=tuple(first),
-            provenance={word: self.provenance[pair] for word, pair in first.items()},
-            heights={word: self.heights[pair] for word, pair in first.items()},
-        )
+        saturation = self._saturation
+        if saturation is None:
+            first: dict[LimitWord, ExtendedLimitWord] = {}
+            for pair in self.elements:
+                first.setdefault(pair.word, pair)
+            return MonoidClosure(
+                automaton=self.automaton,
+                elements=tuple(first),
+                provenance={w: self.provenance[pair] for w, pair in first.items()},
+                heights={w: self.heights[pair] for w, pair in first.items()},
+            )
+        n = len(self.automaton.states)
+        words = [key & ((1 << n * n) - 1) for key in saturation.keys]
+        # Filled from the last pair back, so each word keeps its first pair.
+        firsts = dict(zip(reversed(words), range(len(words) - 1, -1, -1)))
+        indices = sorted(firsts.values())
+        return MonoidClosure.from_saturation(saturation, indices, firsts)
 
 
 def extended_markov_monoid(
     automaton: Automaton, cap: int = DEFAULT_CAP
 ) -> ExtendedClosure:
     """Saturate letter pairs under concatenation and iterates-on-idempotents."""
-    pairs, expressions, heights, idempotents = saturate(automaton, 2, cap)
-    elements = tuple(ExtendedLimitWord(*pair) for pair in pairs)
-    return ExtendedClosure(
-        automaton=automaton,
-        elements=elements,
-        provenance=dict(zip(elements, expressions)),
-        heights=dict(zip(elements, heights)),
-        idempotents=frozenset(elements[i] for i in idempotents),
-    )
+    return ExtendedClosure.from_saturation(saturate(automaton, 2, cap))
 
 
 @dataclass(frozen=True)
@@ -139,7 +168,9 @@ class LeakWitness:
 def find_leak_witness(closure: ExtendedClosure) -> Optional[LeakWitness]:
     """The least leak witness (by element, then by the pair (r, q)), or None.
 
-    Only the closure's `idempotents` can leak; they are not tested again.
+    Only the closure's `idempotents` can leak, and only they and the
+    witness's expression are decoded.  `recurrent_states` still squares each
+    word, as the precondition its public contract checks.
     """
     candidates: list[tuple[tuple, ExtendedLimitWord, int, int]] = []
     for pair in closure.idempotents:
@@ -159,9 +190,7 @@ def find_leak_witness(closure: ExtendedClosure) -> Optional[LeakWitness]:
     if not candidates:
         return None
     key, pair, r, q = min(candidates, key=lambda item: (item[0], item[2], item[3]))
-    return LeakWitness(
-        element=pair, expression=closure.provenance[pair], r=r, q=q
-    )
+    return LeakWitness(element=pair, expression=closure.expression(pair), r=r, q=q)
 
 
 @dataclass(frozen=True)

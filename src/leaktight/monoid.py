@@ -15,7 +15,15 @@ from fractions import Fraction
 from functools import cache, reduce
 from itertools import compress, repeat
 from operator import lshift, mul, not_, or_
-from typing import TYPE_CHECKING, Generic, Iterable, Mapping, Optional, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Generic,
+    Iterable,
+    Mapping,
+    Optional,
+    Sequence,
+    TypeVar,
+)
 
 from .automaton import Automaton
 from .errors import CapExceeded, ValidationError
@@ -28,6 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "DEFAULT_CAP",
     "saturate",
+    "Saturation",
     "Closure",
     "MonoidClosure",
     "markov_monoid",
@@ -52,9 +61,9 @@ DEFAULT_CAP = 2**20
 # One engine saturates both closures.  An element is a tuple of k limit
 # words over n states (k = 1 for the plain monoid; k = 2 for extended pairs,
 # word then support), packed into one int key: row s of component c is row
-# j = c·n + s, held in bits [j·n, (j+1)·n).  The keys never leave
-# `saturate`, which returns validated limit words.  The componentwise
-# product is
+# j = c·n + s, held in bits [j·n, (j+1)·n).  `saturate` returns the keys
+# as they are, in a `Saturation`; limit words are decoded from them only
+# when read.  The componentwise product is
 #
 #     x·y = OR over j = c·n + m of ((x >> m) & S_c) * (row j of y)
 #
@@ -105,11 +114,16 @@ DEFAULT_CAP = 2**20
 # of that component (times `spread`).
 #
 # Provenance is kept as back-pointers, (p, g) for a product and i for an
-# iterate.  At the end each key is decoded to its limit words once, and each
-# back-pointer becomes an expression node that carries its element's word:
-# nothing is multiplied again, and the iterates' idempotency preconditions
-# are the slot-wise squares' findings.  The tests re-derive every word and
-# idempotent with the scalar `LimitWord` operations.
+# iterate, and is decoded on read.  A key is decoded to its limit words the
+# first time it is read, and a back-pointer becomes an expression node, after
+# the nodes of its subterms, the first time it or a term over it is read;
+# each node carries its element's word.  Both are memoised per saturation,
+# so every read returns the same objects, nothing is multiplied again, and
+# the iterates' idempotency preconditions are the slot-wise squares'
+# findings.  The decisions read what they need off the keys: the value-1
+# witness is found on the word bits, and only it and the leak search's
+# idempotents are decoded.  The tests re-derive every word and idempotent
+# with the scalar `LimitWord` operations.
 
 # Most elements one wide-int pass packs; it bounds the memory of a pass.
 _SLOTS = 256
@@ -132,16 +146,15 @@ def saturate(
     components: int,
     cap: int,
     max_height: int = sys.maxsize,
-) -> tuple[list[tuple[LimitWord, ...]], list[SharpExpression], list[int], list[int]]:
+) -> Saturation:
     """Saturate the automaton's letters under products and iterates.
 
     Elements are tuples of `components` limit words; the identity and each
     letter are seeded with their word as every component.  Iterates nest
-    at most `max_height` deep.  Returns, per element in discovery order, its
-    components, its expression and its least iterate-nesting height;
-    heights never fall in discovery order.  The fourth list holds the
-    indices, ascending, of every element whose components are all
-    idempotent.
+    at most `max_height` deep.  Returns the packed `Saturation`: per element
+    in discovery order its key, back-pointer and least iterate-nesting
+    height (heights never fall in that order), and the indices of the
+    elements whose components are all idempotent.
     """
     n, k = len(automaton.states), components
     full, spread, masks, shifts, words = _layout(n, k)
@@ -151,7 +164,7 @@ def saturate(
         return tuple([(key >> shift) & full for shift in shifts])
 
     keys: list[int] = []
-    known: set[int] = set()
+    index: dict[int, int] = {}
     sources: list = []
     heights: list[int] = []
     packed = bytearray()
@@ -159,7 +172,7 @@ def saturate(
     def add(key: int, source, height: int) -> None:
         if len(keys) >= cap:
             raise CapExceeded(f"monoid closure exceeded cap of {cap} elements")
-        known.add(key)
+        index[key] = len(keys)
         keys.append(key)
         sources.append(source)
         heights.append(height)
@@ -188,10 +201,8 @@ def saturate(
     seeds = [epsilon_expr(n)]
     seeds += [letter_expr(automaton, letter) for letter in automaton.alphabet]
     for expression in seeds:
-        key = 0
-        for j, row in enumerate(expression.word.rows * k):
-            key |= row << (j * n)
-        if key not in known:
+        key = _pack(expression.word.rows * k, n)
+        if key not in index:
             add(key, expression, 0)
     generators = list(range(1, len(keys)))
 
@@ -223,13 +234,13 @@ def saturate(
             )
             # The products not known before this pass come out by generator;
             # they are added by element, then by generator.
-            fresh = [i for i, xg in enumerate(products) if xg not in known]
+            fresh = [i for i, xg in enumerate(products) if xg not in index]
             if count > 1:
                 fresh.sort(key=count.__rmod__)
-            for index in fresh:
-                xg = products[index]
-                if xg not in known:
-                    add(xg, (pointer + index % count, meets[index // count][0]), height)
+            for i in fresh:
+                xg = products[i]
+                if xg not in index:
+                    add(xg, (pointer + i % count, meets[i // count][0]), height)
             pointer = end
 
     def idempotents(start: int, end: int) -> list[int]:
@@ -269,7 +280,7 @@ def saturate(
             break
         for i in layer:
             v = iterate(keys[i])
-            if v not in known:
+            if v not in index:
                 add(v, i, level + 1)
                 generators.append(len(keys) - 1)
                 close(len(keys) - 1, level + 1)
@@ -277,21 +288,97 @@ def saturate(
             break
         level, start = level + 1, old
 
-    spans = [slice(c * n, (c + 1) * n) for c in range(k)]
-    elements = [
-        tuple([LimitWord(n, rows[span]) for span in spans])
-        for rows in map(right_form, keys)
-    ]
-    expressions: list[SharpExpression] = []
-    for source, (word, *_) in zip(sources, elements):
-        if isinstance(source, tuple):
-            p, q = source
-            expressions.append(Concat(expressions[p], expressions[q], word))
-        elif isinstance(source, int):
-            expressions.append(Iterate(expressions[source], word))
-        else:
-            expressions.append(source)
-    return elements, expressions, heights, found
+    return Saturation(automaton, k, keys, sources, heights, found, index)
+
+
+def _pack(rows: Iterable[int], n: int) -> int:
+    """The key whose j-th n-bit field holds the j-th row."""
+    key = 0
+    for j, row in enumerate(rows):
+        key |= row << (j * n)
+    return key
+
+
+class Saturation:
+    """What `saturate` found, packed, in discovery order.
+
+    `keys[i]` packs element i.  `sources[i]` is its back-pointer: (p, g) for
+    the product of elements p and g, an int for the iterate of that element,
+    or the seed's own expression.  `heights[i]` is its least iterate-nesting
+    height, and `idempotents` holds, ascending, the indices of the elements
+    whose components are all idempotent.  `index` maps each key to its
+    element.  Nothing is decoded until it is read: `words` and `expression`
+    decode one element, each at most once, so a node read early is the very
+    node a later read returns.
+    """
+
+    def __init__(
+        self,
+        automaton: Automaton,
+        components: int,
+        keys: list[int],
+        sources: list,
+        heights: list[int],
+        idempotents: list[int],
+        index: dict[int, int],
+    ) -> None:
+        self.automaton = automaton
+        self.components = components
+        self.keys = keys
+        self.sources = sources
+        self.heights = heights
+        self.idempotents = idempotents
+        self.index = index
+        self._words: list[Optional[tuple[LimitWord, ...]]] = [None] * len(keys)
+        self._nodes: list[Optional[SharpExpression]] = [None] * len(keys)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def words(self, i: int) -> tuple[LimitWord, ...]:
+        """Element i's components, as validated limit words."""
+        words = self._words[i]
+        if words is None:
+            n, k = len(self.automaton.states), self.components
+            full, _, _, shifts, _ = _layout(n, k)
+            key = self.keys[i]
+            rows = tuple([(key >> shift) & full for shift in shifts])
+            words = tuple([LimitWord(n, rows[c * n : (c + 1) * n]) for c in range(k)])
+            self._words[i] = words
+        return words
+
+    def expression(self, i: int) -> SharpExpression:
+        """Element i's expression, built after its subterms; each node
+        carries its element's first component."""
+        nodes, sources = self._nodes, self.sources
+        pending = [i]
+        while pending:
+            j = pending[-1]
+            if nodes[j] is not None:
+                pending.pop()
+                continue
+            source = sources[j]
+            if isinstance(source, tuple):
+                missing = [p for p in source if nodes[p] is None]
+                if missing:
+                    pending += missing
+                    continue
+                p, g = source
+                nodes[j] = Concat(nodes[p], nodes[g], self.words(j)[0])
+            elif isinstance(source, int):
+                if nodes[source] is None:
+                    pending.append(source)
+                    continue
+                nodes[j] = Iterate(nodes[source], self.words(j)[0])
+            else:
+                nodes[j] = source
+            pending.pop()
+        return nodes[i]
+
+    def key(self, words: Iterable[LimitWord]) -> int:
+        """The key whose leading components are these words."""
+        rows = [row for word in words for row in word.rows]
+        return _pack(rows, len(self.automaton.states))
 
 
 # ---------------------------------------------------------------------------
@@ -301,19 +388,82 @@ def saturate(
 E = TypeVar("E")
 
 
-@dataclass(frozen=True)
 class Closure(Generic[E]):
     """All elements generated by an automaton's letters.
 
     `elements` is in discovery order, starting with the identity; each
     element has a witnessing expression in `provenance` and its least
-    iterate-nesting height in `heights`.
+    iterate-nesting height in `heights`.  A closure is built from these
+    fields, or read off a `Saturation` by `from_saturation`; then the three
+    are decoded together, in discovery order, when one is first read, and
+    `expression` decodes one element's expression alone.
     """
 
-    automaton: Automaton
-    elements: tuple[E, ...]
-    provenance: Mapping[E, SharpExpression]
-    heights: Mapping[E, int]
+    def __init__(
+        self,
+        automaton: Automaton,
+        elements: Iterable[E],
+        provenance: Mapping[E, SharpExpression],
+        heights: Mapping[E, int],
+    ) -> None:
+        self.automaton = automaton
+        self._saturation: Optional[Saturation] = None
+        self._fields = (tuple(elements), provenance, heights)
+
+    @classmethod
+    def from_saturation(
+        cls,
+        saturation: Saturation,
+        indices: Optional[Sequence[int]] = None,
+        lookup: Optional[Mapping[int, int]] = None,
+    ):
+        """The closure of the saturation's elements at `indices` (all of
+        them by default), ascending; `lookup` maps the key of an element's
+        components to its index (by default the saturation's `index`)."""
+        closure = cls.__new__(cls)
+        closure.automaton = saturation.automaton
+        closure._saturation = saturation
+        closure._indices = range(len(saturation)) if indices is None else indices
+        closure._lookup = saturation.index if lookup is None else lookup
+        closure._fields = None
+        return closure
+
+    @staticmethod
+    def _wrap(words: tuple[LimitWord, ...]) -> E:
+        """The element of a saturation's decoded components."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _components(element: E) -> tuple[LimitWord, ...]:
+        """The components of an element that key it in `_lookup`."""
+        raise NotImplementedError
+
+    def _read(self) -> tuple:
+        """The elements, provenance and heights, decoded on the first read."""
+        if self._fields is None:
+            saturation, indices = self._saturation, self._indices
+            elements = tuple([self._wrap(saturation.words(i)) for i in indices])
+            provenance = dict(zip(elements, map(saturation.expression, indices)))
+            heights = dict(zip(elements, [saturation.heights[i] for i in indices]))
+            self._fields = elements, provenance, heights
+        return self._fields
+
+    @property
+    def elements(self) -> tuple[E, ...]:
+        return self._read()[0]
+
+    @property
+    def provenance(self) -> Mapping[E, SharpExpression]:
+        return self._read()[1]
+
+    @property
+    def heights(self) -> Mapping[E, int]:
+        return self._read()[2]
+
+    def __len__(self) -> int:
+        if self._saturation is None:
+            return len(self._fields[0])
+        return len(self._indices)
 
     def __contains__(self, element: E) -> bool:
         return element in self.heights
@@ -322,23 +472,52 @@ class Closure(Generic[E]):
     def max_height(self) -> int:
         return max(self.heights.values())
 
+    def expression(self, element: E) -> SharpExpression:
+        """The element's witnessing expression, `provenance[element]`."""
+        saturation = self._saturation
+        if saturation is None:
+            return self.provenance[element]
+        i = self._lookup.get(saturation.key(self._components(element)))
+        if i is None or self._wrap(saturation.words(i)) != element:
+            raise KeyError(element)
+        return saturation.expression(i)
+
 
 class MonoidClosure(Closure[LimitWord]):
     """All limit words generated by an automaton's letters."""
+
+    @staticmethod
+    def _wrap(words: tuple[LimitWord, ...]) -> LimitWord:
+        return words[0]
+
+    @staticmethod
+    def _components(element: LimitWord) -> tuple[LimitWord, ...]:
+        return (element,)
+
+    def _witness(self) -> Optional[tuple[LimitWord, SharpExpression]]:
+        """What `find_value1_witness` finds, with its expression, read off
+        the keys of a closure built by `from_saturation`: only the witness
+        is decoded."""
+        saturation, automaton = self._saturation, self.automaton
+        n = len(automaton.states)
+        start = automaton.state_index[automaton.initial] * n
+        outside = ((1 << n) - 1) & ~_final_mask(automaton)
+        keys = saturation.keys
+        found = [i for i in self._indices if not keys[i] >> start & outside]
+        if not found:
+            return None
+        # Row-major bit order is the order of the word's bits read from bit
+        # 0 up, that is of the word's n² bits reversed, read as an int.
+        bits, word_mask = n * n, (1 << n * n) - 1
+        best = min(found, key=lambda i: int(f"{keys[i] & word_mask:0{bits}b}"[::-1], 2))
+        return saturation.words(best)[0], saturation.expression(best)
 
 
 def _plain_saturation(
     automaton: Automaton, cap: int, max_height: int = sys.maxsize
 ) -> MonoidClosure:
     """The Markov monoid's elements of iterate-nesting height ≤ `max_height`."""
-    words, expressions, heights, _ = saturate(automaton, 1, cap, max_height)
-    elements = tuple(word for (word,) in words)
-    return MonoidClosure(
-        automaton=automaton,
-        elements=elements,
-        provenance=dict(zip(elements, expressions)),
-        heights=dict(zip(elements, heights)),
-    )
+    return MonoidClosure.from_saturation(saturate(automaton, 1, cap, max_height))
 
 
 def markov_monoid(
@@ -355,13 +534,14 @@ def markov_monoid(
     return automaton.plain_closure()
 
 
+def _final_mask(automaton: Automaton) -> int:
+    return sum(1 << f for f in automaton.final_indices)
+
+
 def is_value1_witness(automaton: Automaton, element: LimitWord) -> bool:
     """True when every successor of the initial state is a final state."""
-    final_mask = 0
-    for f in automaton.final_indices:
-        final_mask |= 1 << f
     row = element.rows[automaton.state_index[automaton.initial]]
-    return row & ~final_mask == 0
+    return row & ~_final_mask(automaton) == 0
 
 
 def find_value1_witness(closure: MonoidClosure) -> Optional[LimitWord]:
@@ -440,31 +620,29 @@ def decide_value1(automaton: Automaton, cap: int = DEFAULT_CAP) -> Value1Report:
     symbolic upper bound and is guaranteed only if the automaton is
     leaktight.  The leak verdict is always returned: it comes from
     `decide_leaktight`, and the plain closure the witness comes from is
-    derived from that decision's extended closure.
+    derived from that decision's extended closure.  The witness is found
+    on the closure's keys, and only it is decoded.
     """
     from .leaks import decide_leaktight
 
     leak = decide_leaktight(automaton, cap)
     # Derived, not saturated; by name, so wrappers of markov_monoid see it.
     closure = markov_monoid(leak.closure)
-    witness = find_value1_witness(closure)
-    if witness is not None:
-        certificate = Certificate(
-            kind="value1",
-            witness=closure.provenance[witness],
-            element=witness,
-        )
+    found = closure._witness()
+    if found is not None:
+        element, expression = found
+        certificate = Certificate(kind="value1", witness=expression, element=element)
     else:
         certificate = Certificate(
             kind="no-witness",
             bound=UpperBound(
                 p_min=automaton.min_transition_probability,
-                monoid_size=len(leak.closure.elements),
+                monoid_size=len(leak.closure),
             ),
             note="guaranteed only if leaktight",
         )
     return Value1Report(
-        value1=witness is not None,
+        value1=found is not None,
         certificate=certificate,
         closure=closure,
         leaktight=leak.leaktight,
@@ -489,7 +667,8 @@ def bounded_witness_search(
 
     `max_height=None` uses the number of states, which is always enough to
     find a witness when one exists.  The closure is saturated up to that
-    height, and the witness `find_value1_witness` picks is returned.
+    height, and the expression of the witness `find_value1_witness` would
+    pick is returned.
     """
     bound = len(automaton.states) if max_height is None else max_height
     if bound < 0:
@@ -498,8 +677,8 @@ def bounded_witness_search(
         closure = _plain_saturation(automaton, cap, bound)
     except CapExceeded:
         raise CapExceeded(f"witness search exceeded cap of {cap} elements") from None
-    witness = find_value1_witness(closure)
-    return None if witness is None else closure.provenance[witness]
+    found = closure._witness()
+    return None if found is None else found[1]
 
 
 # ---------------------------------------------------------------------------

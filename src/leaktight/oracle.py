@@ -202,7 +202,13 @@ def parse_family(
         _, token = tokens[pos]
         pos += 1
         if token.isdecimal():  # exactly the digit strings `int` accepts
-            return int(token)
+            try:
+                return int(token)
+            except ValueError:  # past Python's limit on digits `int` reads
+                raise ValidationError(
+                    f"family syntax error at offset {offset}: exponent has "
+                    f"{len(token)} digits, too many to read"
+                ) from None
         if token.isidentifier():
             return token
         raise ValidationError(

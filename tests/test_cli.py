@@ -533,6 +533,32 @@ def test_non_ascii_digit_exponent_is_exit_1(capsys, fixture_file) -> None:
     assert "Traceback" not in err
 
 
+# More decimal digits than `int` reads from a string (4,300 by default).
+LONG_NUMBER = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["estimate-value", "{path}", f"a^{LONG_NUMBER}"],
+            "family syntax error at offset 1: exponent has 5000 digits, too many to read",
+        ),
+        (
+            ["estimate-value", "{path}", "a^n", "--bind", f"n={LONG_NUMBER}"],
+            "--bind n: 5000 digits, too many to read",
+        ),
+    ],
+    ids=["template", "bind"],
+)
+def test_overlong_decimal_exponent_is_exit_1(capsys, fixture_file, argv, message) -> None:
+    path = fixture_file("fig3")
+    assert main([part.format(path=path) for part in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 # ---------------------------------------------------------------------------
 # Console script
 

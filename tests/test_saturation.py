@@ -37,7 +37,7 @@ from leaktight import (
 )
 from leaktight.generate import random_automaton
 from leaktight.leaks import ExtendedClosure, ExtendedLimitWord
-from leaktight.monoid import DEFAULT_CAP, saturate
+from leaktight.monoid import DEFAULT_CAP, Saturation, saturate
 from leaktight.sharpexpr import (
     Concat,
     Epsilon,
@@ -211,6 +211,18 @@ def test_closures_match_reference_on_drawn_automata(automaton) -> None:
 # The batched engine against the scalar right-Cayley loop
 
 
+def decoded(result: Saturation):
+    """A saturation's components, expressions, heights and idempotent
+    indices, every element decoded, in discovery order."""
+    every = range(len(result))
+    return (
+        [result.words(i) for i in every],
+        [result.expression(i) for i in every],
+        result.heights,
+        result.idempotents,
+    )
+
+
 def saturation(
     engine,
     automaton,
@@ -221,11 +233,12 @@ def saturation(
     """Elements, expressions (rendered, with their words), heights and
     idempotent indices, or the cap message."""
     try:
-        elements, expressions, heights, idempotents = engine(
-            automaton, components, cap, max_height
-        )
+        result = engine(automaton, components, cap, max_height)
     except CapExceeded as error:
         return str(error)
+    if isinstance(result, Saturation):
+        result = decoded(result)
+    elements, expressions, heights, idempotents = result
     rendered = [(expression.render(), expression.word) for expression in expressions]
     return elements, rendered, heights, idempotents
 
@@ -239,7 +252,7 @@ def assert_same_saturation(automaton, components: int, cap: int = DEFAULT_CAP) -
 def assert_same_saturation_at_caps(automaton) -> None:
     """Both component counts, uncapped and at caps 1, size - 1 and size."""
     for components in (1, 2):
-        size = len(saturate(automaton, components, DEFAULT_CAP)[0])
+        size = len(saturate(automaton, components, DEFAULT_CAP))
         for cap in sorted({1, size - 1, size, DEFAULT_CAP} - {0}):
             assert_same_saturation(automaton, components, cap)
 
@@ -270,7 +283,7 @@ def test_saturation_order_matches_scalar_loop_at_every_height_bound() -> None:
     for seed in range(0, 500, 5):
         automaton = seeded_automaton(seed)
         for components in (1, 2):
-            top = max(saturate(automaton, components, DEFAULT_CAP)[2])
+            top = max(saturate(automaton, components, DEFAULT_CAP).heights)
             for bound in range(top + 1):
                 assert saturation(
                     saturate, automaton, components, max_height=bound
