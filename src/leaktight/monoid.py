@@ -329,6 +329,10 @@ class Saturation:
         self.heights = heights
         self.idempotents = idempotents
         self.index = index
+        n = len(automaton.states)
+        full, _, _, self._shifts, _ = _layout(n, components)
+        self._n, self._full = n, full
+        self._spans = [slice(c * n, (c + 1) * n) for c in range(components)]
         self._words: list[Optional[tuple[LimitWord, ...]]] = [None] * len(keys)
         self._nodes: list[Optional[SharpExpression]] = [None] * len(keys)
 
@@ -339,11 +343,9 @@ class Saturation:
         """Element i's components, as validated limit words."""
         words = self._words[i]
         if words is None:
-            n, k = len(self.automaton.states), self.components
-            full, _, _, shifts, _ = _layout(n, k)
-            key = self.keys[i]
-            rows = tuple([(key >> shift) & full for shift in shifts])
-            words = tuple([LimitWord(n, rows[c * n : (c + 1) * n]) for c in range(k)])
+            key, n, full = self.keys[i], self._n, self._full
+            rows = tuple([(key >> shift) & full for shift in self._shifts])
+            words = tuple([LimitWord(n, rows[span]) for span in self._spans])
             self._words[i] = words
         return words
 
@@ -359,17 +361,17 @@ class Saturation:
                 continue
             source = sources[j]
             if isinstance(source, tuple):
-                missing = [p for p in source if nodes[p] is None]
-                if missing:
-                    pending += missing
+                left, right = nodes[source[0]], nodes[source[1]]
+                if left is None or right is None:
+                    pending += [p for p in source if nodes[p] is None]
                     continue
-                p, g = source
-                nodes[j] = Concat(nodes[p], nodes[g], self.words(j)[0])
+                nodes[j] = Concat(left, right, self.words(j)[0])
             elif isinstance(source, int):
-                if nodes[source] is None:
+                child = nodes[source]
+                if child is None:
                     pending.append(source)
                     continue
-                nodes[j] = Iterate(nodes[source], self.words(j)[0])
+                nodes[j] = Iterate(child, self.words(j)[0])
             else:
                 nodes[j] = source
             pending.pop()
@@ -377,8 +379,7 @@ class Saturation:
 
     def key(self, words: Iterable[LimitWord]) -> int:
         """The key whose leading components are these words."""
-        rows = [row for word in words for row in word.rows]
-        return _pack(rows, len(self.automaton.states))
+        return _pack([row for word in words for row in word.rows], self._n)
 
 
 # ---------------------------------------------------------------------------
