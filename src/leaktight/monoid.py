@@ -478,8 +478,10 @@ class Closure(Generic[E]):
         saturation = self._saturation
         if saturation is None:
             return self.provenance[element]
+        # Components of another dimension pack to no element's key: some
+        # row field stays empty, or a row lands past the key's width.
         i = self._lookup.get(saturation.key(self._components(element)))
-        if i is None or self._wrap(saturation.words(i)) != element:
+        if i is None:
             raise KeyError(element)
         return saturation.expression(i)
 

@@ -19,6 +19,7 @@ import random
 import pytest
 
 from leaktight import (
+    Automaton,
     ExtendedClosure,
     LimitWord,
     MonoidClosure,
@@ -193,7 +194,6 @@ def test_expression_of_an_element_outside_the_closure_is_a_key_error() -> None:
     for pair in outside:
         with pytest.raises(KeyError):
             extended.expression(pair)
-    # A word of another dimension packs to some key, but decodes otherwise.
     with pytest.raises(KeyError):
         closure.expression(LimitWord.identity(len(automaton.states) + 1))
 
@@ -249,13 +249,33 @@ def assert_decisions_match_materialized(automaton) -> None:
         assert bounded.render() == plain.provenance[expected].render()
 
 
+def reversed_states(automaton: Automaton) -> Automaton:
+    """The same automaton with its states listed in reverse, so that the
+    initial state of a generated automaton is no longer the first."""
+    order = range(len(automaton.states) - 1, -1, -1)
+    return Automaton(
+        states=tuple(automaton.states[i] for i in order),
+        alphabet=automaton.alphabet,
+        initial=automaton.initial,
+        final=automaton.final,
+        matrices=tuple(
+            tuple(tuple(matrix[i][j] for j in order) for i in order)
+            for matrix in automaton.matrices
+        ),
+    )
+
+
 def test_keys_first_decisions_match_materialized_on_corpus() -> None:
     for seed in corpus():
-        assert_decisions_match_materialized(seeded_automaton(seed))
+        automaton = seeded_automaton(seed)
+        assert_decisions_match_materialized(automaton)
+        assert_decisions_match_materialized(reversed_states(automaton))
 
 
 @pytest.mark.parametrize("states,k", DECIDE_SCALE)
 def test_keys_first_decisions_match_materialized_on_decide_scale(
     states: int, k: int
 ) -> None:
-    assert_decisions_match_materialized(scale_automaton(states, k))
+    automaton = scale_automaton(states, k)
+    assert_decisions_match_materialized(automaton)
+    assert_decisions_match_materialized(reversed_states(automaton))
