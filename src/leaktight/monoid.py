@@ -323,7 +323,6 @@ class Saturation:
         index: dict[int, int],
     ) -> None:
         self.automaton = automaton
-        self.components = components
         self.keys = keys
         self.sources = sources
         self.heights = heights
@@ -353,6 +352,8 @@ class Saturation:
         """Element i's expression, built after its subterms; each node
         carries its element's first component."""
         nodes, sources = self._nodes, self.sources
+        if nodes[i] is not None:
+            return nodes[i]
         pending = [i]
         while pending:
             j = pending[-1]
@@ -443,9 +444,9 @@ class Closure(Generic[E]):
         """The elements, provenance and heights, decoded on the first read."""
         if self._fields is None:
             saturation, indices = self._saturation, self._indices
-            elements = tuple([self._wrap(saturation.words(i)) for i in indices])
+            elements = tuple(map(self._wrap, map(saturation.words, indices)))
             provenance = dict(zip(elements, map(saturation.expression, indices)))
-            heights = dict(zip(elements, [saturation.heights[i] for i in indices]))
+            heights = dict(zip(elements, map(saturation.heights.__getitem__, indices)))
             self._fields = elements, provenance, heights
         return self._fields
 

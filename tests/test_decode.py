@@ -113,12 +113,9 @@ def read_nothing_first(closure) -> None:
     pass
 
 
-READS = {
-    "elements": read_nothing_first,
-    "provenance": read_provenance_first,
-    "heights": read_heights_first,
-    "idempotents": read_idempotents_first,
-}
+# Elements first (`fields` reads them before the rest), provenance first,
+# heights first, idempotents first.
+READS = (read_nothing_first, read_provenance_first, read_heights_first, read_idempotents_first)
 
 
 def assert_reads_like_reference(closure, expected, read_first, early=()) -> None:
@@ -147,7 +144,7 @@ def assert_every_read_order(automaton) -> None:
         elements = expected[kind][0]
         # The last element, then one from the middle: each decoded alone.
         early = [elements[-1], elements[len(elements) // 2]]
-        for read_first in READS.values():
+        for read_first in READS:
             assert_reads_like_reference(build(), expected[kind], read_first)
         assert_reads_like_reference(build(), expected[kind], read_nothing_first, early)
         assert_reads_like_reference(build(), expected[kind], read_provenance_first, early)
