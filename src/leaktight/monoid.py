@@ -513,7 +513,11 @@ class MonoidClosure(Closure[LimitWord]):
         # Row-major bit order is the order of the word's bits read from bit
         # 0 up, that is of the word's n² bits reversed, read as an int.
         bits, word_mask = n * n, (1 << n * n) - 1
-        best = min(found, key=lambda i: int(f"{keys[i] & word_mask:0{bits}b}"[::-1], 2))
+
+        def order(i: int) -> int:
+            return int(f"{keys[i] & word_mask:0{bits}b}"[::-1], 2)
+
+        best = min(found, key=order)
         return saturation.words(best)[0], saturation.expression(best)
 
 
