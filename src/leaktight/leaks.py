@@ -9,7 +9,7 @@ state escape to somewhere it can never return from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from typing import Optional
 
 from .automaton import Automaton
 from .errors import ValidationError
@@ -79,22 +79,10 @@ class ExtendedClosure(Closure[ExtendedLimitWord]):
     """All extended pairs generated by an automaton's letters.
 
     `idempotents` holds the pairs whose word and support are both
-    idempotent, as the saturation found them; read off a saturation, only
-    they are decoded.
+    idempotent, as the saturation found them; only they are decoded.
     """
 
     _idempotents: Optional[frozenset[ExtendedLimitWord]] = None
-
-    def __init__(
-        self,
-        automaton: Automaton,
-        elements: Iterable[ExtendedLimitWord],
-        provenance: Mapping[ExtendedLimitWord, SharpExpression],
-        heights: Mapping[ExtendedLimitWord, int],
-        idempotents: Iterable[ExtendedLimitWord],
-    ) -> None:
-        super().__init__(automaton, elements, provenance, heights)
-        self._idempotents = frozenset(idempotents)
 
     @staticmethod
     def _wrap(words: tuple[LimitWord, ...]) -> ExtendedLimitWord:
@@ -122,33 +110,22 @@ class ExtendedClosure(Closure[ExtendedLimitWord]):
 
         Each word keeps the height and the expression of its first pair in
         discovery order; heights never fall in that order, so this is the
-        word's least height.  Read off a saturation, the first pairs are
-        found on the keys' word bits, and nothing is decoded.
+        word's least height.  The first pairs are found on the keys' word
+        bits, and nothing is decoded.
         """
         saturation = self._saturation
-        if saturation is None:
-            first: dict[LimitWord, ExtendedLimitWord] = {}
-            for pair in self.elements:
-                first.setdefault(pair.word, pair)
-            return MonoidClosure(
-                automaton=self.automaton,
-                elements=tuple(first),
-                provenance={w: self.provenance[pair] for w, pair in first.items()},
-                heights={w: self.heights[pair] for w, pair in first.items()},
-            )
         n = len(self.automaton.states)
         words = [key & ((1 << n * n) - 1) for key in saturation.keys]
         # Filled from the last pair back, so each word keeps its first pair.
         firsts = dict(zip(reversed(words), range(len(words) - 1, -1, -1)))
-        indices = sorted(firsts.values())
-        return MonoidClosure.from_saturation(saturation, indices, firsts)
+        return MonoidClosure(saturation, sorted(firsts.values()), firsts)
 
 
 def extended_markov_monoid(
     automaton: Automaton, cap: int = DEFAULT_CAP
 ) -> ExtendedClosure:
     """Saturate letter pairs under concatenation and iterates-on-idempotents."""
-    return ExtendedClosure.from_saturation(saturate(automaton, 2, cap))
+    return ExtendedClosure(saturate(automaton, 2, cap))
 
 
 @dataclass(frozen=True)

@@ -395,40 +395,25 @@ class Closure(Generic[E]):
 
     `elements` is in discovery order, starting with the identity; each
     element has a witnessing expression in `provenance` and its least
-    iterate-nesting height in `heights`.  A closure is built from these
-    fields, or read off a `Saturation` by `from_saturation`; then the three
-    are decoded together, in discovery order, when one is first read, and
-    `expression` decodes one element's expression alone.
+    iterate-nesting height in `heights`.  A closure is read off a
+    `Saturation`: the saturation's elements at `indices` (all of them by
+    default), ascending, where `lookup` maps the key of an element's
+    components to its index (by default the saturation's `index`).  The
+    three fields are decoded together, in discovery order, when one is
+    first read; `len`, `max_height` and `expression` decode nothing else.
     """
 
     def __init__(
         self,
-        automaton: Automaton,
-        elements: Iterable[E],
-        provenance: Mapping[E, SharpExpression],
-        heights: Mapping[E, int],
-    ) -> None:
-        self.automaton = automaton
-        self._saturation: Optional[Saturation] = None
-        self._fields = (tuple(elements), provenance, heights)
-
-    @classmethod
-    def from_saturation(
-        cls,
         saturation: Saturation,
         indices: Optional[Sequence[int]] = None,
         lookup: Optional[Mapping[int, int]] = None,
-    ):
-        """The closure of the saturation's elements at `indices` (all of
-        them by default), ascending; `lookup` maps the key of an element's
-        components to its index (by default the saturation's `index`)."""
-        closure = cls.__new__(cls)
-        closure.automaton = saturation.automaton
-        closure._saturation = saturation
-        closure._indices = range(len(saturation)) if indices is None else indices
-        closure._lookup = saturation.index if lookup is None else lookup
-        closure._fields = None
-        return closure
+    ) -> None:
+        self.automaton = saturation.automaton
+        self._saturation = saturation
+        self._indices = range(len(saturation)) if indices is None else indices
+        self._lookup = saturation.index if lookup is None else lookup
+        self._fields: Optional[tuple] = None
 
     @staticmethod
     def _wrap(words: tuple[LimitWord, ...]) -> E:
@@ -463,8 +448,6 @@ class Closure(Generic[E]):
         return self._read()[2]
 
     def __len__(self) -> int:
-        if self._saturation is None:
-            return len(self._fields[0])
         return len(self._indices)
 
     def __contains__(self, element: E) -> bool:
@@ -472,13 +455,12 @@ class Closure(Generic[E]):
 
     @property
     def max_height(self) -> int:
-        return max(self.heights.values())
+        # Heights never fall in discovery order, and the indices ascend.
+        return self._saturation.heights[self._indices[-1]]
 
     def expression(self, element: E) -> SharpExpression:
         """The element's witnessing expression, `provenance[element]`."""
         saturation = self._saturation
-        if saturation is None:
-            return self.provenance[element]
         # Components of another dimension pack to no element's key: some
         # row field stays empty, or a row lands past the key's width.
         i = self._lookup.get(saturation.key(self._components(element)))
@@ -498,35 +480,6 @@ class MonoidClosure(Closure[LimitWord]):
     def _components(element: LimitWord) -> tuple[LimitWord, ...]:
         return (element,)
 
-    def _witness(self) -> Optional[tuple[LimitWord, SharpExpression]]:
-        """What `find_value1_witness` finds, with its expression, read off
-        the keys of a closure built by `from_saturation`: only the witness
-        is decoded."""
-        saturation, automaton = self._saturation, self.automaton
-        n = len(automaton.states)
-        start = automaton.state_index[automaton.initial] * n
-        outside = ((1 << n) - 1) & ~_final_mask(automaton)
-        keys = saturation.keys
-        found = [i for i in self._indices if not keys[i] >> start & outside]
-        if not found:
-            return None
-        # Row-major bit order is the order of the word's bits read from bit
-        # 0 up, that is of the word's n² bits reversed, read as an int.
-        bits, word_mask = n * n, (1 << n * n) - 1
-
-        def order(i: int) -> int:
-            return int(f"{keys[i] & word_mask:0{bits}b}"[::-1], 2)
-
-        best = min(found, key=order)
-        return saturation.words(best)[0], saturation.expression(best)
-
-
-def _plain_saturation(
-    automaton: Automaton, cap: int, max_height: int = sys.maxsize
-) -> MonoidClosure:
-    """The Markov monoid's elements of iterate-nesting height ≤ `max_height`."""
-    return MonoidClosure.from_saturation(saturate(automaton, 1, cap, max_height))
-
 
 def markov_monoid(
     automaton: Automaton | ExtendedClosure, cap: int = DEFAULT_CAP
@@ -538,7 +491,7 @@ def markov_monoid(
     `ExtendedClosure.plain_closure`, and `cap` is not used.
     """
     if isinstance(automaton, Automaton):
-        return _plain_saturation(automaton, cap)
+        return MonoidClosure(saturate(automaton, 1, cap))
     return automaton.plain_closure()
 
 
@@ -553,16 +506,26 @@ def is_value1_witness(automaton: Automaton, element: LimitWord) -> bool:
 
 
 def find_value1_witness(closure: MonoidClosure) -> Optional[LimitWord]:
-    """The least witness in row-major bit order, or None."""
-    automaton = closure.automaton
-    witnesses = [
-        element
-        for element in closure.elements
-        if is_value1_witness(automaton, element)
-    ]
-    if not witnesses:
+    """The least witness in row-major bit order, or None.
+
+    The witness is found on the keys' word bits, and only it is decoded.
+    """
+    saturation, automaton = closure._saturation, closure.automaton
+    n = len(automaton.states)
+    start = automaton.state_index[automaton.initial] * n
+    outside = ((1 << n) - 1) & ~_final_mask(automaton)
+    keys = saturation.keys
+    found = [i for i in closure._indices if not keys[i] >> start & outside]
+    if not found:
         return None
-    return min(witnesses, key=LimitWord.sort_key)
+    # Row-major bit order is the order of the word's bits read from bit
+    # 0 up, that is of the word's n² bits reversed, read as an int.
+    bits, word_mask = n * n, (1 << n * n) - 1
+
+    def order(i: int) -> int:
+        return int(f"{keys[i] & word_mask:0{bits}b}"[::-1], 2)
+
+    return saturation.words(min(found, key=order))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +599,11 @@ def decide_value1(automaton: Automaton, cap: int = DEFAULT_CAP) -> Value1Report:
     leak = decide_leaktight(automaton, cap)
     # Derived, not saturated; by name, so wrappers of markov_monoid see it.
     closure = markov_monoid(leak.closure)
-    found = closure._witness()
-    if found is not None:
-        element, expression = found
-        certificate = Certificate(kind="value1", witness=expression, element=element)
+    element = find_value1_witness(closure)
+    if element is not None:
+        certificate = Certificate(
+            kind="value1", witness=closure.expression(element), element=element
+        )
     else:
         certificate = Certificate(
             kind="no-witness",
@@ -650,7 +614,7 @@ def decide_value1(automaton: Automaton, cap: int = DEFAULT_CAP) -> Value1Report:
             note="guaranteed only if leaktight",
         )
     return Value1Report(
-        value1=found is not None,
+        value1=element is not None,
         certificate=certificate,
         closure=closure,
         leaktight=leak.leaktight,
@@ -682,11 +646,11 @@ def bounded_witness_search(
     if bound < 0:
         raise ValidationError("max_height must be nonnegative")
     try:
-        closure = _plain_saturation(automaton, cap, bound)
+        closure = MonoidClosure(saturate(automaton, 1, cap, bound))
     except CapExceeded:
         raise CapExceeded(f"witness search exceeded cap of {cap} elements") from None
-    found = closure._witness()
-    return None if found is None else found[1]
+    element = find_value1_witness(closure)
+    return None if element is None else closure.expression(element)
 
 
 # ---------------------------------------------------------------------------

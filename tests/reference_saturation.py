@@ -1,9 +1,15 @@
 """The all-pairs saturation engine over validated element objects.
 
 This is the engine `markov_monoid` and `extended_markov_monoid` used before
-elements were packed into ints; it is kept here, unchanged, as the slow
-reference the packed engine is differential-tested against.  It works for
-any element type with concat / is_idempotent / iterate methods.
+elements were packed into ints; it is kept here as the slow reference the
+packed engine is differential-tested against, and returns its results as a
+`ClosureRecord`.  It works for any element type with concat /
+is_idempotent / iterate methods.
+
+`ClosureRecord` holds a closure's fields as plain data, and
+`reference_find_value1_witness` and `reference_plain_closure` find the
+value-1 witness and derive the plain closure on it by scanning its
+elements, as the library did before it read both off the packed keys.
 
 `reference_bounded_witness_search` is the heap search
 `bounded_witness_search` ran as before it was put on the packed engine,
@@ -26,13 +32,14 @@ import heapq
 import sys
 from functools import reduce
 from operator import mul, or_
-from typing import Optional
+from dataclasses import dataclass
+from typing import Any, Iterable, Mapping, Optional
 
 from leaktight.automaton import Automaton
 from leaktight.errors import CapExceeded, ValidationError
-from leaktight.leaks import ExtendedClosure, ExtendedLimitWord
+from leaktight.leaks import ExtendedLimitWord
 from leaktight.limitword import LimitWord
-from leaktight.monoid import DEFAULT_CAP, MonoidClosure, is_value1_witness
+from leaktight.monoid import DEFAULT_CAP, is_value1_witness
 from leaktight.sharpexpr import (
     SharpExpression,
     concat_expr,
@@ -40,6 +47,66 @@ from leaktight.sharpexpr import (
     iterate_expr,
     letter_expr,
 )
+
+
+@dataclass(frozen=True)
+class ClosureRecord:
+    """A closure's fields as plain data: the elements in discovery order,
+    each one's expression and height, and the idempotent elements."""
+
+    automaton: Automaton
+    elements: tuple
+    provenance: Mapping[Any, SharpExpression]
+    heights: Mapping[Any, int]
+    idempotents: frozenset
+
+    def expression(self, element) -> SharpExpression:
+        return self.provenance[element]
+
+
+def closure_record(
+    automaton: Automaton,
+    elements: Iterable,
+    provenance: Mapping[Any, SharpExpression],
+    heights: Mapping[Any, int],
+) -> ClosureRecord:
+    """The record of these fields; each element's idempotency is tested by
+    its own scalar square."""
+    elements = tuple(elements)
+    return ClosureRecord(
+        automaton,
+        elements,
+        dict(provenance),
+        dict(heights),
+        frozenset(element for element in elements if element.is_idempotent()),
+    )
+
+
+def reference_find_value1_witness(closure: ClosureRecord) -> Optional[LimitWord]:
+    """The least witness in row-major bit order, found by scanning every
+    element, or None."""
+    witnesses = [
+        element
+        for element in closure.elements
+        if is_value1_witness(closure.automaton, element)
+    ]
+    if not witnesses:
+        return None
+    return min(witnesses, key=LimitWord.sort_key)
+
+
+def reference_plain_closure(closure: ClosureRecord) -> ClosureRecord:
+    """The word components of an extended closure's pairs; each word keeps
+    the expression and height of its first pair in discovery order."""
+    first: dict[LimitWord, ExtendedLimitWord] = {}
+    for pair in closure.elements:
+        first.setdefault(pair.word, pair)
+    return closure_record(
+        closure.automaton,
+        first,
+        {word: closure.provenance[pair] for word, pair in first.items()},
+        {word: closure.heights[pair] for word, pair in first.items()},
+    )
 
 
 def _saturate(identity, generators, cap: int):
@@ -103,25 +170,19 @@ def _saturate(identity, generators, cap: int):
 
 def reference_markov_monoid(
     automaton: Automaton, cap: int = DEFAULT_CAP
-) -> MonoidClosure:
+) -> ClosureRecord:
     dim = len(automaton.states)
     identity = (LimitWord.identity(dim), epsilon_expr(dim))
     generators = []
     for letter in automaton.alphabet:
         expression = letter_expr(automaton, letter)
         generators.append((expression.word, expression))
-    order, expressions, heights = _saturate(identity, generators, cap)
-    return MonoidClosure(
-        automaton=automaton,
-        elements=order,
-        provenance=expressions,
-        heights=heights,
-    )
+    return closure_record(automaton, *_saturate(identity, generators, cap))
 
 
 def reference_extended_markov_monoid(
     automaton: Automaton, cap: int = DEFAULT_CAP
-) -> ExtendedClosure:
+) -> ClosureRecord:
     dim = len(automaton.states)
     one = LimitWord.identity(dim)
     identity = (ExtendedLimitWord(word=one, support=one), epsilon_expr(dim))
@@ -130,14 +191,7 @@ def reference_extended_markov_monoid(
         expression = letter_expr(automaton, letter)
         pair = ExtendedLimitWord(word=expression.word, support=expression.word)
         generators.append((pair, expression))
-    order, expressions, heights = _saturate(identity, generators, cap)
-    return ExtendedClosure(
-        automaton=automaton,
-        elements=order,
-        provenance=expressions,
-        heights=heights,
-        idempotents=frozenset(pair for pair in order if pair.is_idempotent()),
-    )
+    return closure_record(automaton, *_saturate(identity, generators, cap))
 
 
 def reference_cayley_saturate(

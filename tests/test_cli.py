@@ -479,6 +479,23 @@ def test_value_too_long_to_print_is_exit_2(capsys, fixture_file) -> None:
     assert captured.err == "resource cap: exact value is too long to print\n"
 
 
+def test_reify_check_fails_fast_on_the_lower_bound_cap(
+    capsys, fixture_file, monkeypatch
+) -> None:
+    """The lower-bound check runs before the consistency pass, so its
+    exponent cap ends the run before any element is reified at n."""
+
+    def consistency(*args, **kwargs):
+        raise AssertionError("the consistency pass ran before the lower-bound check")
+
+    monkeypatch.setattr(cli, "check_consistency", consistency)
+    automaton = random_automaton(random.Random(6004), states=6, letters=2)
+    assert main(["reify-check", fixture_file("scale-6-4", automaton)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("resource cap: budget exceeded: lower-bound exponent ")
+
+
 HUGE = "99999999999999999999"
 
 

@@ -7,9 +7,10 @@ decodes every element and builds every expression with `concat_expr` /
 `iterate_expr` at once.  A node read early must be the node a later full
 read returns, and re-reading an expression returns the same object.
 
-The decisions find their witnesses on the engine's keys; they must agree
-with `find_value1_witness` and `find_leak_witness` run on closures read in
-full and rebuilt from their fields, which scan the elements.
+The value-1 witness and the derived plain closure are found on the
+engine's keys; they must agree with the element scans of
+`tests/reference_saturation.py`, run on records of closures read in full,
+and the leak search run on such a record must agree with the decisions.
 """
 
 from __future__ import annotations
@@ -36,7 +37,12 @@ from leaktight.leaks import ExtendedLimitWord
 from leaktight.monoid import DEFAULT_CAP, saturate
 
 from .helpers import corpus, seeded_automaton
-from .reference_saturation import reference_cayley_saturate
+from .reference_saturation import (
+    closure_record,
+    reference_cayley_saturate,
+    reference_find_value1_witness,
+    reference_plain_closure,
+)
 
 # (states, k) of the benchmark's decide-scale automata,
 # random_automaton(Random(1000 * states + k), states, letters=2).
@@ -119,13 +125,17 @@ READS = (read_nothing_first, read_provenance_first, read_heights_first, read_ide
 
 
 def assert_reads_like_reference(closure, expected, read_first, early=()) -> None:
-    """Read `read_first`, then the expressions of `early` one at a time, then
-    everything; the result must be the reference's, and the early nodes the
-    ones the full read returns."""
+    """Read `read_first`, then the largest height, then the expressions of
+    `early` one at a time, then everything; the result must be the
+    reference's, and the early nodes the ones the full read returns."""
     read_first(closure)
+    max_height = closure.max_height
+    if read_first is read_nothing_first:
+        assert closure._fields is None  # the largest height decodes nothing
     nodes = [(element, closure.expression(element)) for element in early]
     assert len(closure) == len(expected[0])
     assert fields(closure) == expected
+    assert max_height == closure.max_height == max(expected[2])
     for element, node in nodes:
         assert closure.provenance[element] is node
         assert closure.expression(element) is node
@@ -199,25 +209,20 @@ def test_expression_of_an_element_outside_the_closure_is_a_key_error() -> None:
 # Decisions on the keys against scans of closures read in full
 
 
-def rebuilt(closure):
-    """The closure read in full and rebuilt from its fields, so that every
-    query scans the elements."""
-    if isinstance(closure, ExtendedClosure):
-        return ExtendedClosure(
-            closure.automaton,
-            closure.elements,
-            closure.provenance,
-            closure.heights,
-            closure.idempotents,
-        )
-    return MonoidClosure(closure.automaton, closure.elements, closure.provenance, closure.heights)
+def record(closure):
+    """The record of a closure read in full, whose queries scan its elements."""
+    return closure_record(closure.automaton, closure.elements, closure.provenance, closure.heights)
 
 
 def assert_decisions_match_materialized(automaton) -> None:
-    extended = rebuilt(extended_markov_monoid(automaton))
-    derived = extended.plain_closure()  # first pairs found by scanning the elements
-    witness = find_value1_witness(derived)
-    assert witness == find_value1_witness(rebuilt(markov_monoid(automaton)))
+    saturated, plain = extended_markov_monoid(automaton), markov_monoid(automaton)
+    extended = record(saturated)
+    derived = reference_plain_closure(extended)
+    witness = reference_find_value1_witness(derived)
+    assert witness == reference_find_value1_witness(record(plain))
+    # The public search reads the keys of the saturated and derived closures.
+    assert find_value1_witness(plain) == witness
+    assert find_value1_witness(saturated.plain_closure()) == witness
     leak = find_leak_witness(extended)
 
     report = decide_value1(automaton)
@@ -239,11 +244,12 @@ def assert_decisions_match_materialized(automaton) -> None:
 
     bounded = bounded_witness_search(automaton)
     bound = len(automaton.states)
-    plain = rebuilt(MonoidClosure.from_saturation(saturate(automaton, 1, DEFAULT_CAP, bound)))
-    expected = find_value1_witness(plain)
+    bounded_plain = MonoidClosure(saturate(automaton, 1, DEFAULT_CAP, bound))
+    expected = reference_find_value1_witness(record(bounded_plain))
+    assert find_value1_witness(bounded_plain) == expected
     assert (bounded is None) == (expected is None)
     if expected is not None:
-        assert bounded.render() == plain.provenance[expected].render()
+        assert bounded.render() == bounded_plain.provenance[expected].render()
 
 
 def reversed_states(automaton: Automaton) -> Automaton:

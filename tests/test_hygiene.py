@@ -1,5 +1,6 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and every name a module lists in `__all__` is bound in it."""
+every name a module lists in `__all__` is bound in it, and the saturation
+reference in `tests/` shares no engine code with the package."""
 
 from __future__ import annotations
 
@@ -65,3 +66,41 @@ def test_every_exported_name_is_bound(path: Path) -> None:
     module = importlib.import_module(name)
     unbound = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not unbound, f"{path.name}: __all__ lists unbound names {unbound}"
+
+
+REFERENCE = Path(__file__).resolve().parent / "reference_saturation.py"
+
+# What the saturation reference may take from the closure modules: the cap,
+# the witness predicate and the pair type.  No closure class, no engine, no
+# witness search and no private name.
+ENGINE_MODULES = ("leaktight.monoid", "leaktight.leaks")
+REFERENCE_MAY_IMPORT = {"DEFAULT_CAP", "is_value1_witness", "ExtendedLimitWord"}
+
+
+def test_saturation_reference_stays_independent_of_the_engine() -> None:
+    engine_names = set()
+    for name in ENGINE_MODULES:
+        engine_names |= set(importlib.import_module(name).__all__)
+    tree = ast.parse(REFERENCE.read_text(encoding="utf-8"), filename=str(REFERENCE))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            # A module import would reach every name in it.
+            found += [
+                f"{node.lineno}: import {alias.name}"
+                for alias in node.names
+                if alias.name.partition(".")[0] == "leaktight"
+            ]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("leaktight"):
+            for alias in node.names:
+                name = alias.name
+                if name.startswith("_") or name == "*":
+                    found.append(f"{node.lineno}: {name} from {node.module}")
+                elif node.module in ENGINE_MODULES or (
+                    node.module == "leaktight" and name in engine_names
+                ):
+                    if name not in REFERENCE_MAY_IMPORT:
+                        found.append(f"{node.lineno}: {name} from {node.module}")
+                elif node.module == "leaktight" and name in ("monoid", "leaks"):
+                    found.append(f"{node.lineno}: module {name}")
+    assert not found, "reference imports engine code:\n" + "\n".join(found)

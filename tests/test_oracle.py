@@ -27,6 +27,7 @@ from leaktight import (
 from leaktight.zoo import det1, fig1, fig3, hier2, rnd3, sink
 
 from .helpers import seeded_automaton, seeded_closure
+from .reference_saturation import closure_record
 
 
 # ---------------------------------------------------------------------------
@@ -191,19 +192,14 @@ def test_consistency_report_covers_all_entries() -> None:
 def test_consistency_failure_is_reported_not_raised() -> None:
     # An element foreign to the automaton fails consistency gracefully:
     # claimed edges carry no probability mass.
-    from leaktight import MonoidClosure, LimitWord
+    from leaktight import LimitWord
     from leaktight.sharpexpr import letter_expr
 
     a = fig3()
     closure = markov_monoid(a)
     expr = closure.provenance[letter_expr(a, "b").word]
     fake = LimitWord.from_sets(2, [{1}, {0}])
-    bad = MonoidClosure(
-        automaton=a,
-        elements=(fake,),
-        provenance={fake: expr},
-        heights={fake: 0},
-    )
+    bad = closure_record(a, (fake,), {fake: expr}, {fake: 0})
     reports = check_consistency(a, bad, n=12)
     assert len(reports) == 1
     assert not reports[0].ok
