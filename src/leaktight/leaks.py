@@ -14,7 +14,7 @@ from typing import Optional
 from .automaton import Automaton
 from .errors import ValidationError
 from .limitword import LimitWord
-from .monoid import DEFAULT_CAP, Closure, MonoidClosure, saturate
+from .monoid import DEFAULT_CAP, Closure, MonoidClosure, _row_major, saturate
 from .sharpexpr import SharpExpression
 
 __all__ = [
@@ -79,7 +79,9 @@ class ExtendedClosure(Closure[ExtendedLimitWord]):
     """All extended pairs generated by an automaton's letters.
 
     `idempotents` holds the pairs whose word and support are both
-    idempotent, as the saturation found them; only they are decoded.
+    idempotent, as the saturation found them, decoded when first read.
+    The leak search reads none of them: the saturation marks the ones that
+    leak on their keys.
     """
 
     _idempotents: Optional[frozenset[ExtendedLimitWord]] = None
@@ -145,29 +147,27 @@ class LeakWitness:
 def find_leak_witness(closure: ExtendedClosure) -> Optional[LeakWitness]:
     """The least leak witness (by element, then by the pair (r, q)), or None.
 
-    Only the closure's `idempotents` can leak, and only they and the
-    witness's expression are decoded.  `recurrent_states` still squares each
-    word, as the precondition its public contract checks.
+    The saturation marks the idempotents that leak as it iterates them, on
+    their keys.  The least of them in row-major bit order, the order of
+    `ExtendedLimitWord.sort_key`, is the only pair decoded, and its (r, q)
+    is found on the decoded words; `recurrent_states` squares the word
+    once more, as the precondition its public contract checks.
     """
-    candidates: list[tuple[tuple, ExtendedLimitWord, int, int]] = []
-    for pair in closure.idempotents:
-        word, support = pair.word, pair.support
-        recurrent = word.recurrent_states()
-        leak: Optional[tuple[int, int]] = None
-        for r in sorted(recurrent):
-            row = support.rows[r]
-            for q in range(word.dim):
-                if row >> q & 1 and not word.rows[q] >> r & 1:
-                    leak = (r, q)
-                    break
-            if leak is not None:
-                break
-        if leak is not None:
-            candidates.append((pair.sort_key(), pair, leak[0], leak[1]))
-    if not candidates:
+    saturation = closure._saturation
+    if not saturation.leaks:
         return None
-    key, pair, r, q = min(candidates, key=lambda item: (item[0], item[2], item[3]))
-    return LeakWitness(element=pair, expression=closure.expression(pair), r=r, q=q)
+    bits = 2 * len(closure.automaton.states) ** 2
+    keys = saturation.keys
+    i = min(saturation.leaks, key=lambda j: _row_major(keys[j], bits))
+    pair = ExtendedLimitWord(*saturation.words(i))
+    word, support = pair.word, pair.support
+    r, q = next(
+        (r, q)
+        for r in sorted(word.recurrent_states())
+        for q in range(word.dim)
+        if support.rows[r] >> q & 1 and not word.rows[q] >> r & 1
+    )
+    return LeakWitness(element=pair, expression=saturation.expression(i), r=r, q=q)
 
 
 @dataclass(frozen=True)

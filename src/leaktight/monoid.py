@@ -111,7 +111,12 @@ DEFAULT_CAP = 2**20
 # slot-wise square of its elements, whose right operand differs from slot
 # to slot: term m ANDs the fields of the rows that contain column m (a
 # mask times `full`) with row m of each component, copied into every row
-# of that component (times `spread`).
+# of that component (times `spread`).  A second pass, over the layer's
+# idempotents alone, reuses those terms on the diagonal of the first
+# component: state s is not recurrent when some term has s→m but not m→s,
+# and a recurrent s leaks when the second component has s→m and the first
+# lacks m→s.  It yields each idempotent's iterate, which keeps only the
+# columns of the recurrent states, and marks the idempotents that leak.
 #
 # Provenance is kept as back-pointers, (p, g) for a product and i for an
 # iterate, and is decoded on read.  A key is decoded to its limit words the
@@ -121,9 +126,9 @@ DEFAULT_CAP = 2**20
 # so every read returns the same objects, nothing is multiplied again, and
 # the iterates' idempotency preconditions are the slot-wise squares'
 # findings.  The decisions read what they need off the keys: the value-1
-# witness is found on the word bits, and only it and the leak search's
-# idempotents are decoded.  The tests re-derive every word and idempotent
-# with the scalar `LimitWord` operations.
+# witness is found on the word bits, the leak witness among the marked
+# idempotents, and only the two witnesses are decoded.  The tests re-derive
+# every word, idempotent and leak with the scalar `LimitWord` operations.
 
 # Most elements one wide-int pass packs; it bounds the memory of a pass.
 _SLOTS = 256
@@ -153,12 +158,16 @@ def saturate(
     letter are seeded with their word as every component.  Iterates nest
     at most `max_height` deep.  Returns the packed `Saturation`: per element
     in discovery order its key, back-pointer and least iterate-nesting
-    height (heights never fall in that order), and the indices of the
-    elements whose components are all idempotent.
+    height (heights never fall in that order), the indices of the
+    elements whose components are all idempotent, and those of the
+    idempotents that leak.
     """
     n, k = len(automaton.states), components
     full, spread, masks, shifts, words = _layout(n, k)
     width = 8 * words
+    every_row = sum(masks)
+    first_rows = sum(full << (c * n * n) for c in range(k))
+    diagonal = sum(1 << (s * (n + 1)) for s in range(n))
 
     def right_form(key: int) -> tuple[int, ...]:
         return tuple([(key >> shift) & full for shift in shifts])
@@ -178,12 +187,16 @@ def saturate(
         heights.append(height)
         packed.extend(key.to_bytes(width, "little"))
 
+    def slot_ones(count: int) -> int:
+        """The wide int with 1 in each of `count` slots."""
+        return int.from_bytes((1).to_bytes(width, "little") * count, "little")
+
     def frontier(start: int, end: int) -> tuple[int, int]:
         """keys[start:end] packed into one wide int, one key per slot, and
         the wide int with 1 in each of those slots."""
         if end - start == 1:
             return keys[start], 1
-        ones = int.from_bytes((1).to_bytes(width, "little") * (end - start), "little")
+        ones = slot_ones(end - start)
         return int.from_bytes(packed[start * width : end * width], "little"), ones
 
     def unpack(values: list[int], count: int) -> list[int]:
@@ -245,8 +258,6 @@ def saturate(
 
     def idempotents(start: int, end: int) -> list[int]:
         """The indices of the idempotents among keys[start:end]."""
-        every_row = sum(masks)
-        first_rows = sum(full << (c * n * n) for c in range(k))
         found: list[int] = []
         for lo in range(start, end, _SLOTS):
             hi = min(lo + _SLOTS, end)
@@ -260,26 +271,54 @@ def saturate(
             found += compress(range(lo, hi), map(not_, unpack([square ^ x], hi - lo)))
         return found
 
-    def iterate(key: int) -> int:
-        rows = right_form(key)
-        recurrent = 0
-        for s in range(n):
-            row = rows[s]
-            if all(rows[t] >> s & 1 for t in range(n) if row >> t & 1):
-                recurrent |= 1 << s
-        return key & ~((full ^ recurrent) * spread)
+    def recurrence(layer: list[int]) -> list[int]:
+        """The iterates of the idempotents whose indices are `layer`, in
+        order; the indices of those that leak are appended to `leaks`.
+
+        Term m of the square marks, on the diagonal of the first component,
+        each state s with an edge s→m but no edge m→s back (not recurrent),
+        and each s whose second component, one component up, has the edge
+        s→m while the first has no m→s (a leak from s, if s is recurrent).
+        """
+        iterates: list[int] = []
+        for lo in range(0, len(layer), _SLOTS):
+            chunk = layer[lo : lo + _SLOTS]
+            count = len(chunk)
+            if count == 1:
+                x, ones = keys[chunk[0]], 1
+            else:
+                data = b"".join([packed[i * width : (i + 1) * width] for i in chunk])
+                x, ones = int.from_bytes(data, "little"), slot_ones(count)
+            kept, firsts = every_row * ones, full * ones
+            nonrecurrent = leaking = 0
+            for m in range(n):
+                rows = ((x >> m) & kept) * full
+                back = ~(((x >> (m * n)) & firsts) * spread)
+                nonrecurrent |= rows & back
+                if k > 1:
+                    leaking |= (rows >> n * n) & back
+            recurrent = diagonal * ones & ~nonrecurrent
+            slots = unpack([recurrent, leaking & recurrent], count)
+            for i, on_diagonal in zip(chunk, slots):
+                # Diagonal bit s·(n + 1) times `spread` lands once on bit
+                # (n - 1)·n + s; its other copies fall outside that row.
+                columns = (on_diagonal * spread >> (n - 1) * n) & full
+                iterates.append(keys[i] & ~((full ^ columns) * spread))
+            leaks.extend(compress(chunk, slots[count:]))
+        return iterates
 
     close(0, 0)
     found: list[int] = []
+    leaks: list[int] = []
     level, start = 0, 0
     while True:
         old = len(keys)
         layer = idempotents(start, old)
         found += layer
+        iterates = recurrence(layer)
         if level >= max_height:
             break
-        for i in layer:
-            v = iterate(keys[i])
+        for i, v in zip(layer, iterates):
             if v not in index:
                 add(v, i, level + 1)
                 generators.append(len(keys) - 1)
@@ -288,7 +327,7 @@ def saturate(
             break
         level, start = level + 1, old
 
-    return Saturation(automaton, k, keys, sources, heights, found, index)
+    return Saturation(automaton, k, keys, sources, heights, found, leaks, index)
 
 
 def _pack(rows: Iterable[int], n: int) -> int:
@@ -306,10 +345,13 @@ class Saturation:
     the product of elements p and g, an int for the iterate of that element,
     or the seed's own expression.  `heights[i]` is its least iterate-nesting
     height, and `idempotents` holds, ascending, the indices of the elements
-    whose components are all idempotent.  `index` maps each key to its
-    element.  Nothing is decoded until it is read: `words` and `expression`
-    decode one element, each at most once, so a node read early is the very
-    node a later read returns.
+    whose components are all idempotent.  `leaks` holds, ascending, those
+    of the idempotents in which a state r recurrent in the first component
+    has an edge r→q in the second, and the first has no edge q→r; it is
+    empty for one component.  `index` maps each key to its element.
+    Nothing is decoded until it is read: `words` and `expression` decode
+    one element, each at most once, so a node read early is the very node
+    a later read returns.
     """
 
     def __init__(
@@ -320,6 +362,7 @@ class Saturation:
         sources: list,
         heights: list[int],
         idempotents: list[int],
+        leaks: list[int],
         index: dict[int, int],
     ) -> None:
         self.automaton = automaton
@@ -327,6 +370,7 @@ class Saturation:
         self.sources = sources
         self.heights = heights
         self.idempotents = idempotents
+        self.leaks = leaks
         self.index = index
         n = len(automaton.states)
         full, _, _, self._shifts, _ = _layout(n, components)
@@ -518,14 +562,18 @@ def find_value1_witness(closure: MonoidClosure) -> Optional[LimitWord]:
     found = [i for i in closure._indices if not keys[i] >> start & outside]
     if not found:
         return None
-    # Row-major bit order is the order of the word's bits read from bit
-    # 0 up, that is of the word's n² bits reversed, read as an int.
-    bits, word_mask = n * n, (1 << n * n) - 1
+    bits = n * n
+    return saturation.words(min(found, key=lambda i: _row_major(keys[i], bits)))[0]
 
-    def order(i: int) -> int:
-        return int(f"{keys[i] & word_mask:0{bits}b}"[::-1], 2)
 
-    return saturation.words(min(found, key=order))[0]
+def _row_major(key: int, bits: int) -> int:
+    """The key's low `bits` bits as an int in row-major bit order.
+
+    Row-major bit order, the order of `LimitWord.sort_key` and of
+    `ExtendedLimitWord.sort_key`, reads the bits from bit 0 up, so it is
+    the order of the bits reversed: bit 0 becomes the most significant.
+    """
+    return int(f"{key & ((1 << bits) - 1):0{bits}b}"[::-1], 2)
 
 
 # ---------------------------------------------------------------------------

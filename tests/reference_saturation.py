@@ -10,6 +10,9 @@ is_idempotent / iterate methods.
 `reference_find_value1_witness` and `reference_plain_closure` find the
 value-1 witness and derive the plain closure on it by scanning its
 elements, as the library did before it read both off the packed keys.
+`reference_find_leak_witness` finds the least leak by `reference_leak`,
+the scalar recurrence loop run on each idempotent pair, as the library
+did before the saturation marked the leaks on the keys.
 
 `reference_bounded_witness_search` is the heap search
 `bounded_witness_search` ran as before it was put on the packed engine,
@@ -107,6 +110,36 @@ def reference_plain_closure(closure: ClosureRecord) -> ClosureRecord:
         {word: closure.provenance[pair] for word, pair in first.items()},
         {word: closure.heights[pair] for word, pair in first.items()},
     )
+
+
+def reference_leak(pair: ExtendedLimitWord) -> Optional[tuple[int, int]]:
+    """The least (r, q), r first, by which an idempotent pair leaks, or
+    None: r is recurrent in the word, the support has the edge r→q, and
+    the word has no edge q→r."""
+    word, support = pair.word, pair.support
+    for r in sorted(word.recurrent_states()):
+        row = support.rows[r]
+        for q in range(word.dim):
+            if row >> q & 1 and not word.rows[q] >> r & 1:
+                return r, q
+    return None
+
+
+def reference_find_leak_witness(
+    closure: ClosureRecord,
+) -> Optional[tuple[ExtendedLimitWord, SharpExpression, int, int]]:
+    """The least leak witness (by element, then by (r, q)), found by
+    scanning every idempotent pair, as (element, expression, r, q), or
+    None."""
+    candidates = []
+    for pair in closure.idempotents:
+        leak = reference_leak(pair)
+        if leak is not None:
+            candidates.append((pair.sort_key(), leak, pair))
+    if not candidates:
+        return None
+    _, (r, q), pair = min(candidates, key=lambda item: item[:2])
+    return pair, closure.expression(pair), r, q
 
 
 def _saturate(identity, generators, cap: int):

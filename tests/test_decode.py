@@ -7,10 +7,12 @@ decodes every element and builds every expression with `concat_expr` /
 `iterate_expr` at once.  A node read early must be the node a later full
 read returns, and re-reading an expression returns the same object.
 
-The value-1 witness and the derived plain closure are found on the
-engine's keys; they must agree with the element scans of
-`tests/reference_saturation.py`, run on records of closures read in full,
-and the leak search run on such a record must agree with the decisions.
+The value-1 witness, the derived plain closure and the leaks are found on
+the engine's keys; they must agree with the element scans of
+`tests/reference_saturation.py`, run on records of closures read in full.
+The saturation must mark as leaking exactly the idempotents that the
+scalar leak loop finds leaking, including across the boundaries of its
+wide-int passes, and the decisions must report the reference's witnesses.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from leaktight import (
     Automaton,
@@ -36,11 +39,13 @@ from leaktight.generate import random_automaton
 from leaktight.leaks import ExtendedLimitWord
 from leaktight.monoid import DEFAULT_CAP, saturate
 
-from .helpers import corpus, seeded_automaton
+from .helpers import automata, corpus, seeded_automaton
 from .reference_saturation import (
     closure_record,
     reference_cayley_saturate,
+    reference_find_leak_witness,
     reference_find_value1_witness,
+    reference_leak,
     reference_plain_closure,
 )
 
@@ -223,7 +228,7 @@ def assert_decisions_match_materialized(automaton) -> None:
     # The public search reads the keys of the saturated and derived closures.
     assert find_value1_witness(plain) == witness
     assert find_value1_witness(saturated.plain_closure()) == witness
-    leak = find_leak_witness(extended)
+    leak = reference_find_leak_witness(extended)
 
     report = decide_value1(automaton)
     assert report.value1 == (witness is not None)
@@ -239,8 +244,9 @@ def assert_decisions_match_materialized(automaton) -> None:
     found = decide_leaktight(automaton).witness
     assert (found is None) == (leak is None)
     if leak is not None:
-        assert (found.element, found.r, found.q) == (leak.element, leak.r, leak.q)
-        assert found.expression.render() == leak.expression.render()
+        element, expression, r, q = leak
+        assert (found.element, found.r, found.q) == (element, r, q)
+        assert found.expression.render() == expression.render()
 
     bounded = bounded_witness_search(automaton)
     bound = len(automaton.states)
@@ -282,3 +288,84 @@ def test_keys_first_decisions_match_materialized_on_decide_scale(
     automaton = scale_automaton(states, k)
     assert_decisions_match_materialized(automaton)
     assert_decisions_match_materialized(reversed_states(automaton))
+
+
+# ---------------------------------------------------------------------------
+# Leaks marked on the keys against the scalar recurrence loop
+
+# Hard scaling automata the decide-scale workload leaves out, as (states, k).
+LEFT_OUT = ((5, 0), (5, 3), (6, 4))
+
+
+def assert_leaks_match_scalar(automaton) -> ExtendedClosure:
+    """The saturation marks as leaking exactly the elements that are
+    idempotent by their scalar square and leak by the scalar loop, and the
+    public witness is the one the reference scan finds.  Returns the
+    extended closure."""
+    closure = extended_markov_monoid(automaton)
+    extended = record(closure)
+    leaking = [
+        i
+        for i, pair in enumerate(extended.elements)
+        if pair in extended.idempotents and reference_leak(pair) is not None
+    ]
+    assert closure._saturation.leaks == leaking
+    assert markov_monoid(automaton)._saturation.leaks == []
+
+    expected = reference_find_leak_witness(extended)
+    found = find_leak_witness(closure)
+    if expected is None:
+        assert found is None
+    else:
+        element, expression, r, q = expected
+        assert (found.element, found.r, found.q) == (element, r, q)
+        assert found.expression.render() == expression.render()
+    return closure
+
+
+def test_leaks_on_the_keys_match_the_scalar_loop_on_corpus() -> None:
+    for seed in corpus():
+        automaton = seeded_automaton(seed)
+        assert_leaks_match_scalar(automaton)
+        assert_leaks_match_scalar(reversed_states(automaton))
+
+
+@pytest.mark.parametrize("states,k", DECIDE_SCALE + LEFT_OUT)
+def test_leaks_on_the_keys_match_the_scalar_loop_on_scaling_automata(
+    states: int, k: int
+) -> None:
+    automaton = scale_automaton(states, k)
+    assert_leaks_match_scalar(automaton)
+    assert_leaks_match_scalar(reversed_states(automaton))
+
+
+@settings(max_examples=40, deadline=None)
+@given(automata(max_states=5))
+def test_leaks_on_the_keys_match_the_scalar_loop_on_drawn_automata(automaton) -> None:
+    assert_leaks_match_scalar(automaton)
+
+
+# Extended closures with a layer of more than 256 idempotents, the most one
+# wide-int pass packs, as (seed, states) of random_automaton(Random(seed),
+# states, letters=2): the idempotents per height, and the positions within
+# the height-1 layer of the leaking idempotents that end a pass.  Seed 670
+# leaks in the last slot of each of its three passes; seed 10312 in the
+# last slot of its first pass and in its second, a pass of exactly one.
+CHUNKED = {
+    (670, 5): ({0: 31, 1: 601}, [255, 511, 600]),
+    (10312, 5): ({0: 66, 1: 257}, [255, 256]),
+}
+
+
+@pytest.mark.parametrize("seed,states", sorted(CHUNKED))
+def test_leaks_on_the_keys_match_the_scalar_loop_across_passes(
+    seed: int, states: int
+) -> None:
+    automaton = random_automaton(random.Random(seed), states=states, letters=2)
+    saturation = assert_leaks_match_scalar(automaton)._saturation
+    heights = [saturation.heights[i] for i in saturation.idempotents]
+    layers = {h: heights.count(h) for h in sorted(set(heights))}
+    top = [i for i in saturation.idempotents if saturation.heights[i] == 1]
+    ends = [j for j in range(len(top)) if j % 256 == 255 or j == len(top) - 1]
+    leaking = set(saturation.leaks)
+    assert (layers, [j for j in ends if top[j] in leaking]) == CHUNKED[seed, states]
