@@ -6,22 +6,25 @@ is no floating point anywhere in the model.
 
 Products, powers and distribution steps are computed on a scaled form: a
 matrix (or distribution) is a tuple of int numerators over one common
-denominator, reduced once per product with a single `math.gcd`.  The reduced
-form is unique, so it can be compared and hashed as it is.  The `Fraction`
-functions convert at the boundary.  Each automaton builds the scaled form of
-its letters once, at construction, and validates the matrices on it; the
-probability predicates (p_min, determinism, simplicity, supports) read it too.
+denominator, reduced once per product or step: by the lowest set bit when
+the denominator is a power of two, by a single `math.gcd` otherwise.  The
+reduced form is unique, so it can be compared and hashed as it is.  The
+`Fraction` functions convert at the boundary.  Each automaton builds the
+scaled form of its letters once, at construction, and validates the
+matrices on it, checking each distinct entry object once; the probability
+predicates (p_min, determinism, simplicity, supports) read it too.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain
-from operator import mul
+from functools import cached_property, reduce
+from itertools import chain, compress
+from operator import mul, or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, ValidationError
@@ -66,20 +69,22 @@ def identity_matrix(dim: int) -> Matrix:
     )
 
 
-def _reduced_rows(
-    rows: tuple[tuple[int, ...], ...], denominator: int
-) -> ScaledMatrix:
-    g = math.gcd(denominator, *chain.from_iterable(rows))
-    if g == 1:
-        return rows, denominator
-    return tuple(tuple(x // g for x in row) for row in rows), denominator // g
+def _reduced(entries: Sequence[int], denominator: int) -> tuple[tuple[int, ...], int]:
+    """`entries` over `denominator`, divided by the gcd of all of them.
 
-
-def _reduced_vector(numerators: Sequence[int], denominator: int) -> ScaledVector:
-    g = math.gcd(denominator, *numerators)
+    The gcd of a power-of-two denominator with the entries is a power of
+    two, the lowest set bit of their bitwise or; finding it costs time
+    linear in their bits, where `math.gcd` takes quadratic Lehmer steps on
+    the long denominators that powers of dyadic matrices reach.
+    """
+    if denominator & (denominator - 1):
+        g = math.gcd(denominator, *entries)
+    else:
+        low = reduce(or_, entries, denominator)
+        g = low & -low
     if g == 1:
-        return tuple(numerators), denominator
-    return tuple(x // g for x in numerators), denominator // g
+        return tuple(entries), denominator
+    return tuple(x // g for x in entries), denominator // g
 
 
 def scale_vector(entries: Sequence[Fraction]) -> ScaledVector:
@@ -121,9 +126,13 @@ def scaled_identity(dim: int) -> ScaledMatrix:
 def scaled_product(left: ScaledMatrix, right: ScaledMatrix) -> ScaledMatrix:
     (a, da), (b, db) = left, right
     cols = tuple(zip(*b))
-    return _reduced_rows(
-        tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a),
-        da * db,
+    entries, denominator = _reduced(
+        [sum(map(mul, row, col)) for row in a for col in cols], da * db
+    )
+    width = len(cols)
+    return (
+        tuple(entries[i * width : (i + 1) * width] for i in range(len(a))),
+        denominator,
     )
 
 
@@ -218,33 +227,54 @@ class Automaton:
         if len(self.matrices) != len(self.alphabet):
             raise ValidationError("one transition matrix per letter is required")
         dim = len(self.states)
+        # (numerator, denominator) of each entry object checked so far, by
+        # id; `self.matrices` keeps every entry alive, so no id is reused.
+        fields: dict[int, tuple[int, int]] = {}
         scaled = []
         for letter, matrix in zip(self.alphabet, self.matrices):
             if len(matrix) != dim or any(len(row) != dim for row in matrix):
                 raise ValidationError(f"letter {letter!r}: matrix is not {dim}x{dim}")
+            invalid = dim * dim  # row-major index of the first entry that fails
+            if not all(map(fields.__contains__, map(id, chain.from_iterable(matrix)))):
+                for k, entry in enumerate(chain.from_iterable(matrix)):
+                    if id(entry) in fields:
+                        continue
+                    if not (
+                        isinstance(entry, Fraction)
+                        and 0 <= entry.numerator <= entry.denominator
+                    ):
+                        invalid = k
+                        break
+                    fields[id(entry)] = entry.numerator, entry.denominator
+            # The rows above the first invalid entry, or every row: each
+            # row's sum is checked before the next row's entries.
+            checked = matrix[: invalid // dim]
+            # Scale each distinct entry object once to the letter's common
+            # denominator, then look each entry up.
+            numerator_of = dict.fromkeys(map(id, chain.from_iterable(checked)))
+            denominator = 1
+            for i in numerator_of:
+                denominator = math.lcm(denominator, fields[i][1])
+            for i in numerator_of:
+                x, d = fields[i]
+                numerator_of[i] = x * (denominator // d)
             rows = []
-            for s, row in enumerate(matrix):
-                for entry in row:
-                    if not isinstance(entry, Fraction):
-                        raise ValidationError(
-                            f"letter {letter!r}: non-rational entry {entry!r}"
-                        )
-                    if not 0 <= entry.numerator <= entry.denominator:
-                        raise ValidationError(
-                            f"letter {letter!r}: entry {entry} outside [0,1]"
-                        )
-                numerators, denominator = scale_vector(row)
+            for s, row in enumerate(checked):
+                numerators = tuple(map(numerator_of.__getitem__, map(id, row)))
                 if sum(numerators) != denominator:
                     raise ValidationError(
                         f"letter {letter!r}, state {self.states[s]!r}: "
                         f"row sum {Fraction(sum(numerators), denominator)} ≠ 1"
                     )
-                rows.append((numerators, denominator))
-            denominator = math.lcm(*(d for _, d in rows))
-            scaled.append((
-                tuple(tuple(x * (denominator // d) for x in row) for row, d in rows),
-                denominator,
-            ))
+                rows.append(numerators)
+            if invalid < dim * dim:
+                entry = matrix[invalid // dim][invalid % dim]
+                if not isinstance(entry, Fraction):
+                    raise ValidationError(
+                        f"letter {letter!r}: non-rational entry {entry!r}"
+                    )
+                raise ValidationError(f"letter {letter!r}: entry {entry} outside [0,1]")
+            scaled.append((tuple(rows), denominator))
         object.__setattr__(self, "_scaled_letters", tuple(scaled))
 
     @cached_property
@@ -272,9 +302,7 @@ class Automaton:
         """Per letter: its sparse rows and its common denominator."""
         return tuple(
             (
-                tuple(
-                    tuple((t, x) for t, x in enumerate(row) if x) for row in rows
-                ),
+                tuple(tuple(compress(enumerate(row), row)) for row in rows),
                 denominator,
             )
             for rows, denominator in self._scaled_letters
@@ -308,7 +336,7 @@ class Automaton:
             if x:
                 for t, p in row:
                     successor[t] += x * p
-        return _reduced_vector(successor, denominator * letter_denominator)
+        return _reduced(successor, denominator * letter_denominator)
 
     def step(self, distribution: tuple[Fraction, ...], letter: str) -> tuple[Fraction, ...]:
         """One letter of evolution of a distribution row vector."""
@@ -335,6 +363,36 @@ class Automaton:
 # Interchange format
 
 
+# Most digits a probability or threshold text may give its exponent's
+# magnitude, or its value's numerator or denominator: Python's default
+# limit on the digits of a conversion between int and str.  Past it the
+# value could not be printed in a message or a report, and an exponent of
+# millions would take seconds for `Fraction` to build.
+_MAX_DIGITS = 4300
+_DIGITS_LIMIT = 10**_MAX_DIGITS
+# The exponent at the end of a text in exponent notation, as `Fraction` reads it.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _fraction_from_text(text: str) -> Fraction:
+    """`Fraction(text)`, refusing values too long to print.
+
+    Raises ValueError (or ZeroDivisionError, as `Fraction` does) for a text
+    that is not a rational, for an exponent of magnitude above `_MAX_DIGITS`,
+    checked before `Fraction` reads the text, and for a value whose
+    numerator or denominator has more than `_MAX_DIGITS` digits.
+    """
+    match = _EXPONENT.search(text)
+    if match is not None:
+        digits = match.group(1).lstrip("+-").replace("_", "")
+        if len(digits) > _MAX_DIGITS or int(digits) > _MAX_DIGITS:
+            raise ValueError(f"exponent of magnitude above {_MAX_DIGITS}")
+    value = Fraction(text)
+    if abs(value.numerator) >= _DIGITS_LIMIT or value.denominator >= _DIGITS_LIMIT:
+        raise ValueError(f"more than {_MAX_DIGITS} digits")
+    return value
+
+
 def _parse_probability(value: object) -> Fraction:
     if isinstance(value, bool):
         raise ValidationError(f"probability must be a rational string, got {value!r}")
@@ -342,7 +400,7 @@ def _parse_probability(value: object) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value)
+            return _fraction_from_text(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"bad probability {value!r}: {exc}") from None
     raise ValidationError(f"probability must be a rational string, got {value!r}")
@@ -379,6 +437,8 @@ def automaton_from_json(document: Mapping) -> Automaton:
         if letter not in alphabet:
             raise ValidationError(f"transitions mention unknown letter {letter!r}")
     dim = len(states)
+    # One `Fraction` per distinct probability text, shared by its entries.
+    parsed: dict[str, Fraction] = {}
     matrices = []
     for letter in alphabet:
         rows = [[ZERO] * dim for _ in range(dim)]
@@ -403,7 +463,13 @@ def automaton_from_json(document: Mapping) -> Automaton:
                     f"letter {letter!r}: duplicate transition {src!r} -> {dst!r}"
                 )
             seen.add(key)
-            rows[key[0]][key[1]] = _parse_probability(prob)
+            if isinstance(prob, str):
+                entry = parsed.get(prob)
+                if entry is None:
+                    entry = parsed[prob] = _parse_probability(prob)
+            else:
+                entry = _parse_probability(prob)
+            rows[key[0]][key[1]] = entry
         matrices.append(tuple(tuple(row) for row in rows))
     final = _check_array(document["final"], "final")
     if not all(isinstance(f, str) for f in final):

@@ -18,6 +18,7 @@ from typing import Callable, Optional
 
 from .automaton import (
     Automaton,
+    _fraction_from_text,
     automaton_to_json,
     parallel_composition,
     parse_automaton,
@@ -363,7 +364,7 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], dict]] = {
 
 def _fraction_flag(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return _fraction_from_text(text)
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
 

@@ -517,8 +517,9 @@ class ReificationReport:
     """Thresholded comparison of one element against its reified expression.
 
     `matrix` is the exact scaled matrix of the reified word.  The verdict
-    `ok` is decided on ints when the report is built: every entry claimed 0
-    is at most `zero_eps` and every entry claimed 1 at least `one_delta`.
+    `ok` is decided on ints when the report is built, row by row up to the
+    first failing entry: every entry claimed 0 is at most `zero_eps` and
+    every entry claimed 1 at least `one_delta`.
     The per-entry `EntryCheck`s, row-major, are built when `entries` is
     first read.
     """
@@ -536,32 +537,29 @@ class ReificationReport:
         dim = self.element.dim
         if len(rows) != dim or any(len(row) != dim for row in rows):
             raise ValidationError("report must cover every state pair")
-        object.__setattr__(self, "ok", all(self._verdicts()))
+        object.__setattr__(self, "ok", next(self._failures(), None) is None)
 
-    def _verdicts(self) -> Iterator[bool]:
-        """Each entry's threshold check, row-major, on ints."""
+    def _failures(self) -> Iterator[tuple[int, int]]:
+        """(s, t) of each entry that fails its threshold, row-major, on ints."""
         rows, denominator = self.matrix
-        # measured = x / denominator, compared with the thresholds on ints.
-        eps_den, delta_den = self.zero_eps.denominator, self.one_delta.denominator
-        zero_limit = self.zero_eps.numerator * denominator
-        one_limit = self.one_delta.numerator * denominator
-        return (
-            x * delta_den >= one_limit if bits >> t & 1 else x * eps_den <= zero_limit
-            for bits, row in zip(self.element.rows, rows)
-            for t, x in enumerate(row)
-        )
+        eps, delta = self.zero_eps, self.one_delta
+        # measured = x / denominator is at most zero_eps iff x ≤ zero_max,
+        # and at least one_delta iff x ≥ one_min.
+        zero_max = eps.numerator * denominator // eps.denominator
+        one_min = -(-delta.numerator * denominator // delta.denominator)
+        for s, (bits, row) in enumerate(zip(self.element.rows, rows)):
+            for t, x in enumerate(row):
+                if x < one_min if bits >> t & 1 else x > zero_max:
+                    yield s, t
 
     @functools.cached_property
     def entries(self) -> tuple[EntryCheck, ...]:
         rows, denominator = self.matrix
-        pairs = (
-            (s, t, bits >> t & 1, x)
+        failures = set(self._failures())
+        return tuple(
+            EntryCheck(s, t, bits >> t & 1, x, denominator, (s, t) not in failures)
             for s, (bits, row) in enumerate(zip(self.element.rows, rows))
             for t, x in enumerate(row)
-        )
-        return tuple(
-            EntryCheck(s, t, claimed, x, denominator, ok)
-            for (s, t, claimed, x), ok in zip(pairs, self._verdicts())
         )
 
     @property

@@ -87,6 +87,15 @@ def scaled_letters(automaton: Automaton) -> tuple[ScaledMatrix, ...]:
     return tuple(scale_matrix(matrix) for matrix in automaton.matrices)
 
 
+def sparse_letters(automaton: Automaton) -> tuple:
+    """Per letter: each row's (target, numerator) pairs with a nonzero
+    numerator, and the letter's common denominator."""
+    return tuple(
+        (tuple(tuple((t, x) for t, x in enumerate(row) if x) for row in rows), d)
+        for rows, d in scaled_letters(automaton)
+    )
+
+
 def min_transition_probability(automaton: Automaton) -> Fraction:
     """The smallest strictly positive entry over all letter matrices (p_min)."""
     return min(
@@ -150,6 +159,14 @@ def matrix_product(left: Matrix, right: Matrix) -> Matrix:
     cols = tuple(zip(*right))
     return tuple(
         tuple(sum(row[k] * col[k] for k in range(dim)) for col in cols)
+        for row in left
+    )
+
+
+def rectangular_product(left: Matrix, right: Matrix) -> Matrix:
+    """An m x k by k x p product; `matrix_product` reads square operands only."""
+    return tuple(
+        tuple(sum((a * b for a, b in zip(row, col)), ZERO) for col in zip(*right))
         for row in left
     )
 

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import pickle
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -221,6 +222,84 @@ def test_json_rejects_bad_probability_types() -> None:
     bad["transitions"]["a"][0][2] = True
     with pytest.raises(ValidationError):
         automaton_from_json(bad)
+
+
+def _document(probability: object) -> dict:
+    return {
+        "states": ["p", "q"],
+        "alphabet": ["a"],
+        "initial": "p",
+        "final": ["q"],
+        "transitions": {"a": [["p", "p", probability], ["q", "q", "1"]]},
+    }
+
+
+# Texts that `Fraction` reads but whose value could not be printed.  An
+# exponent above 4,300 in magnitude is refused before `Fraction` builds the
+# power (`1e-10000000` took it seconds), a longer value after.
+HUGE_EXPONENTS = {
+    "1e5000": "exponent of magnitude above 4300",
+    "1e-3000000": "exponent of magnitude above 4300",
+    "1e-10000000": "exponent of magnitude above 4300",
+    "1E+4301": "exponent of magnitude above 4300",
+    "1e-4_301": "exponent of magnitude above 4300",
+    "1e-4300": "more than 4300 digits",
+    "0." + "0" * 4299 + "1": "more than 4300 digits",
+}
+
+
+@pytest.mark.parametrize("text", sorted(HUGE_EXPONENTS), ids=lambda t: t[:12])
+def test_json_rejects_probabilities_too_long_to_print(text: str) -> None:
+    started = time.perf_counter()
+    with pytest.raises(ValidationError) as raised:
+        automaton_from_json(_document(text))
+    assert time.perf_counter() - started < 1
+    assert str(raised.value) == f"bad probability {text!r}: {HUGE_EXPONENTS[text]}"
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("0.5", F(1, 2)),
+        ("5e-1", F(1, 2)),
+        ("1E-3", F(1, 1000)),
+        ("1/2", F(1, 2)),
+        ("25e-2", F(1, 4)),
+        ("1e-4299", F(1, 10**4299)),
+        (" 1e0 ", F(1)),
+    ],
+)
+def test_json_reads_exponent_and_decimal_notation(text: str, value: F) -> None:
+    document = _document(text)
+    document["transitions"]["a"].append(["p", "q", str(1 - value)])
+    assert automaton_from_json(document).matrix("a")[0] == (value, 1 - value)
+
+
+def test_equal_probability_texts_share_one_fraction() -> None:
+    states = [f"s{i}" for i in range(4)]
+    triples = [[s, t, "1/4"] for s in states for t in states]
+    document = {
+        "states": states,
+        "alphabet": ["a", "b"],
+        "initial": "s0",
+        "final": ["s3"],
+        "transitions": {"a": triples, "b": triples[::-1]},
+    }
+    a = automaton_from_json(document)
+    assert len({id(entry) for m in a.matrices for row in m for entry in row}) == 1
+    fresh = Automaton(
+        a.states,
+        a.alphabet,
+        a.initial,
+        a.final,
+        tuple(
+            tuple(tuple(F(1, 4) for _ in row) for row in matrix)
+            for matrix in a.matrices
+        ),
+    )
+    assert a == fresh
+    assert a._scaled_letters == fresh._scaled_letters
+    assert a._sparse_letters == fresh._sparse_letters
 
 
 def test_json_rejects_duplicate_transition() -> None:

@@ -576,6 +576,58 @@ def test_overlong_decimal_exponent_is_exit_1(capsys, fixture_file, argv, message
     assert captured.err == f"error: {message}\n"
 
 
+def _one_probability_file(tmp_path, probability: str) -> str:
+    path = tmp_path / "one-probability.json"
+    path.write_text(json.dumps({
+        "states": ["p", "q"],
+        "alphabet": ["a"],
+        "initial": "p",
+        "final": ["q"],
+        "transitions": {"a": [["p", "q", probability], ["q", "q", "1"]]},
+    }))
+    return str(path)
+
+
+# Texts in exponent notation that `Fraction` reads but whose value has more
+# digits than can be printed; the last took 10.8 s to read.
+@pytest.mark.parametrize("text", ["1e5000", "1e-3000000", "1e-10000000"])
+def test_probability_too_long_to_print_is_exit_1(capsys, tmp_path, text) -> None:
+    path = _one_probability_file(tmp_path, text)
+    started = time.perf_counter()
+    assert main(["validate", path]) == 1
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: bad probability {text!r}: exponent of magnitude above 4300\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [("--eps", "1e-5000"), ("--delta", "1e-3000000"), ("--eps", "1e-4300")],
+)
+def test_threshold_too_long_to_print_is_exit_1(capsys, fixture_file, flag, text) -> None:
+    started = time.perf_counter()
+    assert main(["reify-check", fixture_file("fig3"), flag, text]) == 1
+    assert time.perf_counter() - started < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: argument {flag}: not a rational: {text!r}\n"
+
+
+@pytest.mark.parametrize(
+    "text, value", [("0.5", "1/2"), ("5e-1", "1/2"), ("1E-3", "1/1000"), ("1/2", "1/2")]
+)
+def test_exponent_notation_still_reads(capsys, fixture_file, tmp_path, text, value) -> None:
+    report = run_json(capsys, ["reify-check", fixture_file("fig3"), "--eps", text])
+    assert report["zero_eps"] == value
+    assert main(["validate", _one_probability_file(tmp_path, text)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: letter 'a', state 'p': row sum {value} ≠ 1\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Console script
 

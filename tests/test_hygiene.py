@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name it never uses,
-every name a module lists in `__all__` is bound in it, and the saturation
-reference in `tests/` shares no engine code with the package."""
+every name a module lists in `__all__` is bound in it, the saturation
+reference in `tests/` shares no engine code with the package, and the
+numeric reference reaches none of the scaled arithmetic it checks."""
 
 from __future__ import annotations
 
@@ -104,3 +105,43 @@ def test_saturation_reference_stays_independent_of_the_engine() -> None:
                 elif node.module == "leaktight" and name in ("monoid", "leaks"):
                     found.append(f"{node.lineno}: module {name}")
     assert not found, "reference imports engine code:\n" + "\n".join(found)
+
+
+NUMERIC_REFERENCE = Path(__file__).resolve().parent / "reference_numerics.py"
+
+# What the numeric reference may take from `leaktight.automaton`: the model
+# and its matrix types.  No product, power, step, scaling or reduction, so
+# no reference can call the fast path it checks.
+NUMERIC_REFERENCE_MAY_IMPORT = {"Automaton", "Matrix", "ScaledMatrix", "identity_matrix"}
+
+
+def test_numeric_reference_stays_independent_of_the_fast_path() -> None:
+    automaton_names = set(importlib.import_module("leaktight.automaton").__all__)
+    tree = ast.parse(
+        NUMERIC_REFERENCE.read_text(encoding="utf-8"), filename=str(NUMERIC_REFERENCE)
+    )
+    forbidden = automaton_names - NUMERIC_REFERENCE_MAY_IMPORT
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in forbidden:
+            # Such as `oracle.scaled_product`, reached through another module.
+            found.append(f"{node.lineno}: attribute {node.attr}")
+        elif isinstance(node, ast.Import):
+            found += [
+                f"{node.lineno}: import {alias.name}"
+                for alias in node.names
+                if alias.name == "leaktight.automaton"
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.module == "leaktight.automaton":
+            found += [
+                f"{node.lineno}: {alias.name} from {node.module}"
+                for alias in node.names
+                if alias.name not in NUMERIC_REFERENCE_MAY_IMPORT
+            ]
+        elif isinstance(node, ast.ImportFrom) and node.module == "leaktight":
+            found += [
+                f"{node.lineno}: {alias.name} from {node.module}"
+                for alias in node.names
+                if alias.name == "automaton" or alias.name in forbidden
+            ]
+    assert not found, "reference imports the fast path:\n" + "\n".join(found)

@@ -38,7 +38,7 @@ from leaktight import (
     synchronized_product,
 )
 from leaktight import oracle
-from leaktight.automaton import POWER_DENOMINATOR_BITS, scaled_power
+from leaktight.automaton import POWER_DENOMINATOR_BITS, scaled_power, scaled_product
 from leaktight.generate import perturb, random_automaton
 from leaktight.reduction import (
     is_simple,
@@ -338,6 +338,100 @@ def test_rational_matrices_match_reference(pair, exponent) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Reduction of scaled products and steps: a power-of-two denominator is
+# reduced by the lowest set bit, any other one by `math.gcd`.
+
+
+def _matrix(*rows) -> tuple:
+    return tuple(tuple(F(entry) for entry in row) for row in rows)
+
+
+HALVES = _matrix(("1/2", "1/2"), ("1/2", "1/2"))
+THIRDS = _matrix(("1/3", "2/3"), ("1/3", "2/3"))
+FIRST_COLUMN = _matrix((1, 0), (1, 0))
+# (left, right) operands of one product, by what their product exercises.
+PRODUCTS = {
+    # 2/4 reduces to 1/2: the gcd is a power of two below the denominator.
+    "dyadic": (HALVES, HALVES),
+    "dyadic-by-three": (HALVES, THIRDS),
+    # 3/3 reduces to 1/1: the denominator 3 = 2^2 - 1 is not a power of two.
+    "thirds-to-integers": (THIRDS, FIRST_COLUMN),
+    "sevenths": (
+        _matrix(("1/7", "6/7"), ("3/7", "4/7")),
+        _matrix(("2/7", "5/7"), ("1/7", "6/7")),
+    ),
+    "denominator-1": (_matrix((0, 1), (1, 0)), FIRST_COLUMN),
+    "even-integers": (_matrix((2, 0), (0, 2)), _matrix((2, 4), (6, 0))),
+    "negative-dyadic": (_matrix(("-1/2", "3/4"), (2, "-1/8")), HALVES),
+    "negative-odd": (_matrix(("-1/3", 3), ("5/6", "-2/9")), THIRDS),
+    "zero-row": (_matrix((0, 0), ("1/2", "1/2")), HALVES),
+    "all-zero": (_matrix((0, 0), (0, 0)), THIRDS),
+    "zero-operands": (_matrix((0, 0), (0, 0)), _matrix((0, 0), (0, 0))),
+    "2x3-by-3x1": (
+        _matrix(("1/2", "1/4", "1/4"), ("1/3", 0, "-2/3")),
+        _matrix(("1/2",), (2,), ("3/8",)),
+    ),
+    "1x2-by-2x3": (
+        _matrix(("1/4", "3/4")),
+        _matrix((0, "1/2", "1/2"), (4, 0, "1/6")),
+    ),
+    "3x1-by-1x2": (_matrix(("1/2",), (0,), (-3,)), _matrix(("1/2", "4/3"))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCTS))
+def test_scaled_products_and_powers_match_reference(name) -> None:
+    left, right = PRODUCTS[name]
+    expected = ref.rectangular_product(left, right)
+    assert scaled_product(ref.scale_matrix(left), ref.scale_matrix(right)) == (
+        ref.scale_matrix(expected)
+    )
+    assert matrix_product(left, right) == expected
+    if len(left) == len(left[0]):
+        for exponent in range(6):
+            power = ref.matrix_power(left, exponent)
+            assert scaled_power(ref.scale_matrix(left), exponent) == (
+                ref.scale_matrix(power)
+            )
+            assert matrix_power(left, exponent) == power
+
+
+STEPPED = {
+    "fig3": fig3,
+    "det1": det1,
+    "rnd3": rnd3,
+    "fig1-third": lambda: fig1(F(1, 3)),
+    "fig1-two-thirds": lambda: fig1(F(2, 3)),
+}
+
+
+def _scaled_vector(distribution: tuple) -> tuple:
+    (numerators,), denominator = ref.scale_matrix((distribution,))
+    return numerators, denominator
+
+
+@pytest.mark.parametrize("name", sorted(STEPPED))
+def test_scaled_steps_match_reference(name) -> None:
+    a = STEPPED[name]()
+    dim = len(a.states)
+    starts = [a.initial_distribution()]
+    starts += [tuple(F(s == t) for t in range(dim)) for s in range(dim)]
+    starts.append(tuple(F(1, dim) for _ in range(dim)))
+    for start in starts:
+        frontier = [start]
+        for _ in range(4):
+            successors = []
+            for distribution in frontier:
+                for letter in a.alphabet:
+                    expected = ref.step(a, distribution, letter)
+                    assert a.scaled_step(_scaled_vector(distribution), letter) == (
+                        _scaled_vector(expected)
+                    )
+                    successors.append(expected)
+            frontier = successors[:8]
+
+
+# ---------------------------------------------------------------------------
 # The bound on exact powers
 
 
@@ -419,6 +513,18 @@ def _faulty_matrices(rng: random.Random):
     return states, alphabet, tuple(tuple(map(tuple, rows)) for rows in matrices)
 
 
+def _interned(matrices):
+    """The same matrices with equal entries of one type as one object."""
+    pool: dict = {}
+    return tuple(
+        tuple(
+            tuple(pool.setdefault((type(entry), repr(entry)), entry) for entry in row)
+            for row in matrix
+        )
+        for matrix in matrices
+    )
+
+
 def _verdict(function, *args):
     try:
         function(*args)
@@ -431,15 +537,91 @@ def test_same_rejections_as_reference_validation() -> None:
     verdicts = []
     for seed in range(20000):
         states, alphabet, matrices = _faulty_matrices(random.Random(seed))
-        expected = _verdict(ref.validate_matrices, states, alphabet, matrices)
-        actual = _verdict(
-            Automaton, states, alphabet, states[0], frozenset(), matrices
-        )
-        assert actual == expected, (seed, matrices)
+        # Every fourth draw again with equal entries as one shared object.
+        candidates = [matrices] if seed % 4 else [matrices, _interned(matrices)]
+        for candidate in candidates:
+            expected = _verdict(ref.validate_matrices, states, alphabet, candidate)
+            actual = _verdict(
+                Automaton, states, alphabet, states[0], frozenset(), candidate
+            )
+            assert actual == expected, (seed, candidate)
         verdicts.append(expected)
     faults = ("non-rational", "outside", "row sum", "is not")
     kinds = {v and next(k for k in faults if k in v) for v in verdicts}
     assert kinds == {None, *faults}
+
+
+class SubFraction(F):
+    """A `Fraction` subclass: the constructor accepts it as an entry."""
+
+
+HALF = F(1, 2)
+# Matrices that repeat entry objects within and across rows and letters.
+# Those named `valid-...` are accepted; each other one is rejected with the
+# first offender that the reference finds.
+SHARED_ENTRIES = {
+    "invalid-object-twice": (((F(3, 2), F(3, 2)), (HALF, HALF)),),
+    "non-rational-object-twice": (((0.5, 0.5), (HALF, HALF)),),
+    "invalid-in-two-letters": (((HALF, F(-1, 2)), (HALF, HALF)),) * 2,
+    "shared-valid-bad-sum": (((HALF, HALF), (HALF, F(0))),),
+    "shared-valid-bad-sum-later-letter": (
+        ((HALF, HALF), (F(1), F(0))),
+        ((HALF, HALF), (HALF, HALF)),
+        ((F(0), HALF), (HALF, HALF)),
+    ),
+    "invalid-after-shared-valid": (((HALF, HALF), (HALF, F(-1, 2))),),
+    "non-rational-after-shared-valid": (((HALF, HALF), (HALF, "1/2")),),
+    "valid-shared": (((HALF, HALF), (HALF, HALF)),),
+    "valid-subclass": ((
+        (SubFraction(1, 2), SubFraction(1, 2)),
+        (SubFraction(1), SubFraction(0)),
+    ),),
+    "subclass-invalid-twice": (((SubFraction(2), SubFraction(2)), (HALF, HALF)),),
+    "subclass-bad-sum": (
+        ((SubFraction(1, 2), SubFraction(1, 2)), (SubFraction(1, 2), F(0))),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_ENTRIES))
+def test_same_rejections_with_repeated_entry_objects(name) -> None:
+    matrices = SHARED_ENTRIES[name]
+    states, alphabet = ("p", "q"), tuple("abc"[: len(matrices)])
+    expected = _verdict(ref.validate_matrices, states, alphabet, matrices)
+    actual = _verdict(Automaton, states, alphabet, "p", frozenset(), matrices)
+    assert actual == expected
+    assert (expected is None) == name.startswith("valid-")
+
+
+def _fresh_entries(a: Automaton) -> Automaton:
+    """`a` with every entry its own `Fraction` object."""
+    return Automaton(
+        a.states,
+        a.alphabet,
+        a.initial,
+        a.final,
+        tuple(
+            tuple(tuple(F(e.numerator, e.denominator) for e in row) for row in matrix)
+            for matrix in a.matrices
+        ),
+    )
+
+
+def _scaled_automata():
+    yield from (_reduced(name) for name in REDUCED)
+    for seed in range(60):
+        rng = random.Random(seed)
+        a = random_automaton(rng, states=rng.randint(1, 6), letters=rng.randint(1, 3))
+        yield a
+        yield perturb(rng, a)
+
+
+def test_scaled_and_sparse_letters_match_reference() -> None:
+    for a in _scaled_automata():
+        scaled, sparse = ref.scaled_letters(a), ref.sparse_letters(a)
+        for b in (a, _fresh_entries(a)):
+            assert b._scaled_letters == scaled
+            assert b._sparse_letters == sparse
 
 
 def _predicate_automata():
