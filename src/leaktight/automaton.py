@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -180,10 +181,13 @@ def matrix_power(matrix: Matrix, exponent: int) -> Matrix:
     return unscale_matrix(scaled_power(_scale_matrix(matrix), exponent))
 
 
+_CONTROL = re.compile(r"[\x00-\x1f\x7f]")
+
+
 def _check_name(name: object, what: str) -> str:
     if not isinstance(name, str) or not name:
         raise ValidationError(f"{what} must be a non-empty string, got {name!r}")
-    if any(ord(c) < 0x20 or ord(c) == 0x7F for c in name):
+    if _CONTROL.search(name) is not None:
         raise ValidationError(f"{what} {name!r} contains control characters")
     return name
 
@@ -262,10 +266,14 @@ class Automaton:
             for s, row in enumerate(checked):
                 numerators = tuple(map(numerator_of.__getitem__, map(id, row)))
                 if sum(numerators) != denominator:
-                    raise ValidationError(
-                        f"letter {letter!r}, state {self.states[s]!r}: "
-                        f"row sum {Fraction(sum(numerators), denominator)} ≠ 1"
-                    )
+                    where = f"letter {letter!r}, state {self.states[s]!r}"
+                    try:
+                        total = str(Fraction(sum(numerators), denominator))
+                    except ValueError:  # more digits than int-to-str allows
+                        raise ValidationError(
+                            f"{where}: row sum ≠ 1, too long to print"
+                        ) from None
+                    raise ValidationError(f"{where}: row sum {total} ≠ 1")
                 rows.append(numerators)
             if invalid < dim * dim:
                 entry = matrix[invalid // dim][invalid % dim]
@@ -415,7 +423,7 @@ def _check_array(value: object, what: str) -> Sequence:
 
 def automaton_from_json(document: Mapping) -> Automaton:
     """Build and validate an automaton from an interchange-format dictionary."""
-    if not isinstance(document, Mapping):
+    if type(document) is not dict and not isinstance(document, Mapping):
         raise ValidationError("document must be a JSON object")
     for field in ("states", "alphabet", "initial", "final", "transitions"):
         if field not in document:
@@ -431,7 +439,7 @@ def automaton_from_json(document: Mapping) -> Automaton:
         raise ValidationError("duplicate state names")
     index = {s: i for i, s in enumerate(states)}
     transitions = document["transitions"]
-    if not isinstance(transitions, Mapping):
+    if type(transitions) is not dict and not isinstance(transitions, Mapping):
         raise ValidationError("transitions must be an object keyed by letter")
     for letter in transitions:
         if letter not in alphabet:
@@ -491,6 +499,10 @@ def parse_automaton(text: str) -> Automaton:
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"syntax error at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from None
+    except ValueError:  # an integer past the digits `int` reads from a string
+        raise ValidationError(
+            f"an integer has more than {sys.get_int_max_str_digits()} digits"
         ) from None
     return automaton_from_json(document)
 

@@ -48,7 +48,12 @@ __all__ = ["main"]
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raise instead of exiting so bad arguments map to exit code 1."""
+    """Raise instead of exiting so bad arguments map to exit code 1.
+
+    The top-level parser's `commands` maps each command name to its parser.
+    """
+
+    commands: dict[str, _Parser]
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ValidationError(message)
@@ -58,10 +63,16 @@ def _read_automaton(path: str) -> Automaton:
     if path == "-":
         return parse_automaton(sys.stdin.read())
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+    if "\r" in text:  # line ends as a text-mode read translates them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     return parse_automaton(text)
 
 
@@ -428,6 +439,7 @@ def _build_parser() -> _Parser:
     reify.add_argument("--eps", type=_fraction_flag, default=Fraction(1, 1000))
     reify.add_argument("--delta", type=_fraction_flag, default=Fraction(1, 100))
 
+    parser.commands = subparsers.choices
     return parser
 
 
@@ -445,7 +457,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     arguments = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     try:
-        args = parser.parse_args(arguments)
+        command = parser.commands.get(arguments[0]) if arguments else None
+        if command is None:
+            # Prints help, or rejects a missing or unknown command.
+            args = parser.parse_args(arguments)
+        else:
+            args = command.parse_args(arguments[1:])
+            args.command = arguments[0]
         if getattr(args, "cap", None) is not None and args.cap < 1:
             raise ValidationError("--cap must be positive")
         if getattr(args, "max_len", None) is not None and args.max_len < 0:

@@ -28,7 +28,7 @@ from typing import (
 from .automaton import Automaton
 from .errors import CapExceeded, ValidationError
 from .limitword import LimitWord
-from .sharpexpr import Concat, Iterate, SharpExpression, epsilon_expr, letter_expr
+from .sharpexpr import Concat, Epsilon, Iterate, Letter, SharpExpression
 
 if TYPE_CHECKING:  # pragma: no cover
     from .leaks import ExtendedClosure
@@ -118,11 +118,12 @@ DEFAULT_CAP = 2**20
 # lacks m→s.  It yields each idempotent's iterate, which keeps only the
 # columns of the recurrent states, and marks the idempotents that leak.
 #
-# Provenance is kept as back-pointers, (p, g) for a product and i for an
-# iterate, and is decoded on read.  A key is decoded to its limit words the
-# first time it is read, and a back-pointer becomes an expression node, after
-# the nodes of its subterms, the first time it or a term over it is read;
-# each node carries its element's word.  Both are memoised per saturation,
+# Provenance is kept as back-pointers, (p, g) for a product, i for an
+# iterate, a letter's name for a letter and None for the identity, and is
+# decoded on read.  A key is decoded to its limit words the first time it
+# is read, and a back-pointer becomes an expression node, after the nodes
+# of its subterms, the first time it or a term over it is read; each node
+# carries its element's word.  Both are memoised per saturation,
 # so every read returns the same objects, nothing is multiplied again, and
 # the iterates' idempotency preconditions are the slot-wise squares'
 # findings.  The decisions read what they need off the keys: the value-1
@@ -211,12 +212,16 @@ def saturate(
             slots = list(map(or_, slots, map(lshift, data[w::words], repeat(64 * w))))
         return slots
 
-    seeds = [epsilon_expr(n)]
-    seeds += [letter_expr(automaton, letter) for letter in automaton.alphabet]
-    for expression in seeds:
-        key = _pack(expression.word.rows * k, n)
+    # The identity, back-pointer None, then each letter's abstraction, the
+    # support of its matrix, back-pointer its name.
+    columns = [1 << t for t in range(n)]
+    seeds = [(None, columns)]
+    for letter, (rows, _) in zip(automaton.alphabet, automaton._scaled_letters):
+        seeds.append((letter, [sum(compress(columns, row)) for row in rows]))
+    for source, rows in seeds:
+        key = _pack(rows * k, n)
         if key not in index:
-            add(key, expression, 0)
+            add(key, source, 0)
     generators = list(range(1, len(keys)))
 
     def close(old: int, height: int) -> None:
@@ -343,12 +348,13 @@ class Saturation:
 
     `keys[i]` packs element i.  `sources[i]` is its back-pointer: (p, g) for
     the product of elements p and g, an int for the iterate of that element,
-    or the seed's own expression.  `heights[i]` is its least iterate-nesting
-    height, and `idempotents` holds, ascending, the indices of the elements
-    whose components are all idempotent.  `leaks` holds, ascending, those
-    of the idempotents in which a state r recurrent in the first component
-    has an edge r→q in the second, and the first has no edge q→r; it is
-    empty for one component.  `index` maps each key to its element.
+    a letter's name for that letter, or None for the identity.  `heights[i]`
+    is its least iterate-nesting height, and `idempotents` holds, ascending,
+    the indices of the elements whose components are all idempotent.
+    `leaks` holds, ascending, those of the idempotents in which a state r
+    recurrent in the first component has an edge r→q in the second, and
+    the first has no edge q→r; it is empty for one component.  `index`
+    maps each key to its element.
     Nothing is decoded until it is read: `words` and `expression` decode
     one element, each at most once, so a node read early is the very node
     a later read returns.
@@ -417,8 +423,10 @@ class Saturation:
                     pending.append(source)
                     continue
                 nodes[j] = Iterate(child, self.words(j)[0])
+            elif source is None:
+                nodes[j] = Epsilon(self.words(j)[0])
             else:
-                nodes[j] = source
+                nodes[j] = Letter(source, self.words(j)[0])
             pending.pop()
         return nodes[i]
 

@@ -616,6 +616,52 @@ def test_threshold_too_long_to_print_is_exit_1(capsys, fixture_file, flag, text)
     assert captured.err == f"error: argument {flag}: not a rational: {text!r}\n"
 
 
+def test_file_that_is_not_utf8_is_exit_1(capsys, tmp_path) -> None:
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(automaton_to_json(fig3())).encode("utf-16-le"))
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 0: invalid start byte\n"
+    )
+
+
+def test_integer_too_long_to_read_is_exit_1(capsys, tmp_path) -> None:
+    path = tmp_path / "long-integer.json"
+    # A bare JSON integer, not a string: `json.loads` itself refuses it.
+    path.write_text(
+        '{"states": ["p", "q"], "alphabet": ["a"], "initial": "p", "final": ["q"], '
+        f'"transitions": {{"a": [["p", "q", {LONG_NUMBER}], ["q", "q", "1"]]}}}}'
+    )
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: an integer has more than 4300 digits\n"
+
+
+def test_row_sum_too_long_to_print_is_exit_1(capsys, tmp_path) -> None:
+    # Two coprime denominators of 4,291 digits each: every entry can be
+    # printed, but their sum's denominator has 8,581 digits.
+    path = tmp_path / "long-row-sum.json"
+    path.write_text(json.dumps({
+        "states": ["p", "q"],
+        "alphabet": ["a"],
+        "initial": "p",
+        "final": ["q"],
+        "transitions": {"a": [
+            ["p", "p", f"1/{10**4290 + 1}"],
+            ["p", "q", f"1/{10**4290 + 3}"],
+            ["q", "q", "1"],
+        ]},
+    }))
+    assert main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: letter 'a', state 'p': row sum ≠ 1, too long to print\n"
+
+
 @pytest.mark.parametrize(
     "text, value", [("0.5", "1/2"), ("5e-1", "1/2"), ("1E-3", "1/1000"), ("1/2", "1/2")]
 )

@@ -18,6 +18,7 @@ wide-int passes, and the decisions must report the reference's witnesses.
 from __future__ import annotations
 
 import random
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from leaktight import (
 from leaktight.generate import random_automaton
 from leaktight.leaks import ExtendedLimitWord
 from leaktight.monoid import DEFAULT_CAP, saturate
+from leaktight.sharpexpr import Epsilon, epsilon_expr, letter_expr
 
 from .helpers import automata, corpus, seeded_automaton
 from .reference_saturation import (
@@ -189,6 +191,60 @@ def test_every_read_order_matches_the_eager_reference_on_decide_scale(
     states: int, k: int
 ) -> None:
     assert_every_read_order(scale_automaton(states, k))
+
+
+def repeated_abstractions() -> Automaton:
+    """Letters `i` and `i2` abstract to the identity, `c` to the support of `b`."""
+    one, half, third = F(1), F(1, 2), F(1, 3)
+    zero = F(0)
+    return Automaton(
+        states=("p", "q"),
+        alphabet=("i", "b", "c", "i2"),
+        initial="p",
+        final=frozenset({"q"}),
+        matrices=(
+            ((one, zero), (zero, one)),
+            ((half, half), (zero, one)),
+            ((third, 1 - third), (zero, one)),
+            ((one, zero), (zero, one)),
+        ),
+    )
+
+
+@pytest.mark.parametrize("components", [1, 2])
+def test_seed_nodes_are_built_on_first_read(components: int) -> None:
+    inputs = [seeded_automaton(seed) for seed in corpus()[:100]]
+    inputs.append(repeated_abstractions())
+    for automaton in inputs:
+        saturation = saturate(automaton, components, DEFAULT_CAP)
+        n = len(automaton.states)
+        # Each letter's first seed, or the identity's, keeps its place.
+        first: dict[int, object] = {}
+        expected = [epsilon_expr(n)]
+        expected += [letter_expr(automaton, letter) for letter in automaton.alphabet]
+        for expression in expected:
+            first.setdefault(saturation.key([expression.word] * components), expression)
+        seeds = list(first.values())
+        assert saturation.sources[: len(seeds)] == [
+            None if isinstance(seed, Epsilon) else seed.name for seed in seeds
+        ]
+        for i, seed in enumerate(seeds):
+            assert saturation.keys[i] == saturation.key([seed.word] * components)
+            node = saturation.expression(i)
+            assert node == seed
+            assert saturation.expression(i) is node
+        for expression in expected:
+            i = saturation.index[saturation.key([expression.word] * components)]
+            assert saturation.expression(i) == first[saturation.keys[i]]
+
+
+def test_seeds_of_repeated_abstractions() -> None:
+    automaton = repeated_abstractions()
+    saturation = saturate(automaton, 1, DEFAULT_CAP)
+    assert saturation.sources[:2] == [None, "b"]
+    closure = markov_monoid(automaton)
+    assert closure.expression(letter_expr(automaton, "i").word) == epsilon_expr(2)
+    assert closure.expression(letter_expr(automaton, "c").word).render() == "b"
 
 
 def test_expression_of_an_element_outside_the_closure_is_a_key_error() -> None:
