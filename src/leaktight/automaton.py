@@ -504,6 +504,8 @@ def parse_automaton(text: str) -> Automaton:
         raise ValidationError(
             f"an integer has more than {sys.get_int_max_str_digits()} digits"
         ) from None
+    except RecursionError:  # arrays or objects nested past the parser's stack
+        raise ValidationError("the document is nested too deeply to read") from None
     return automaton_from_json(document)
 
 

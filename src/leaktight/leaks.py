@@ -78,13 +78,9 @@ class ExtendedLimitWord:
 class ExtendedClosure(Closure[ExtendedLimitWord]):
     """All extended pairs generated by an automaton's letters.
 
-    `idempotents` holds the pairs whose word and support are both
-    idempotent, as the saturation found them, decoded when first read.
-    The leak search reads none of them: the saturation marks the ones that
-    leak on their keys.
+    The leak search decodes none of the idempotent pairs: the saturation
+    marks the ones that leak on their keys.
     """
-
-    _idempotents: Optional[frozenset[ExtendedLimitWord]] = None
 
     @staticmethod
     def _wrap(words: tuple[LimitWord, ...]) -> ExtendedLimitWord:
@@ -93,15 +89,6 @@ class ExtendedClosure(Closure[ExtendedLimitWord]):
     @staticmethod
     def _components(element: ExtendedLimitWord) -> tuple[LimitWord, ...]:
         return element.word, element.support
-
-    @property
-    def idempotents(self) -> frozenset[ExtendedLimitWord]:
-        if self._idempotents is None:
-            saturation = self._saturation
-            self._idempotents = frozenset(
-                [self._wrap(saturation.words(i)) for i in saturation.idempotents]
-            )
-        return self._idempotents
 
     def projection(self) -> frozenset[LimitWord]:
         """The set of limit-word components of the pairs."""

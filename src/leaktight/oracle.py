@@ -18,10 +18,12 @@ lower-bound report holds one `EntryCheck` per claimed edge.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
 
 from .automaton import (
     Automaton,
@@ -37,7 +39,7 @@ from .errors import CapExceeded, ValidationError
 from .leaks import ExtendedClosure, ExtendedLimitWord, find_leak_witness
 from .limitword import LimitWord
 from .monoid import MonoidClosure
-from .sharpexpr import Concat, Epsilon, Letter, SharpExpression
+from .sharpexpr import Concat, Iterate, Letter, SharpExpression, fold, subterms, unfold
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -148,37 +150,29 @@ class WordFamily:
         return _free_parameters(self.template)
 
 
-def _free_parameters(node: FamilyNode) -> frozenset[str]:
-    if isinstance(node, FamilyAtom):
-        return frozenset()
+def _family_parts(node: FamilyNode) -> tuple[FamilyNode, ...]:
     if isinstance(node, FamilyPower):
-        own = (
-            frozenset((node.exponent,))
-            if isinstance(node.exponent, str)
-            else frozenset()
-        )
-        return own | _free_parameters(node.base)
-    return frozenset().union(*(_free_parameters(p) for p in node.parts))
+        return (node.base,)
+    return node.parts if isinstance(node, FamilySeq) else ()
+
+
+def _own_parameters(node: FamilyNode, values: list) -> frozenset[str]:
+    named = isinstance(node, FamilyPower) and isinstance(node.exponent, str)
+    return frozenset([node.exponent] if named else []).union(*values)
+
+
+def _free_parameters(node: FamilyNode, memo: Optional[dict] = None) -> frozenset[str]:
+    """The parameters named under `node`; `memo` keeps each subtree's."""
+    return fold(node, _family_parts, _own_parameters, memo)
+
+
+# `(`, `)`, `^`, or a run of anything else but whitespace (`\s` is
+# exactly `str.isspace`).
+_FAMILY_TOKEN = re.compile(r"[()^]|[^\s()^]+")
 
 
 def _tokenize_family(text: str) -> list[tuple[int, str]]:
-    tokens: list[tuple[int, str]] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in "()^":
-            tokens.append((i, c))
-            i += 1
-            continue
-        j = i
-        while j < len(text) and text[j] not in "()^" and not text[j].isspace():
-            j += 1
-        tokens.append((i, text[i:j]))
-        i = j
-    return tokens
+    return [(match.start(), match.group()) for match in _FAMILY_TOKEN.finditer(text)]
 
 
 def parse_family(
@@ -216,49 +210,45 @@ def parse_family(
             "neither a natural number nor a parameter name"
         )
 
-    def parse_sequence(depth: int) -> FamilyNode:
-        nonlocal pos
-        parts: list[FamilyNode] = []
-        while pos < len(tokens):
-            offset, token = tokens[pos]
-            if token == ")":
-                if depth == 0:
-                    raise ValidationError(
-                        f"family syntax error at offset {offset}: unmatched ')'"
-                    )
-                break
-            if token == "^":
-                raise ValidationError(
-                    f"family syntax error at offset {offset}: '^' without a base"
-                )
-            if token == "(":
-                pos += 1
-                inner = parse_sequence(depth + 1)
-                if pos >= len(tokens) or tokens[pos][1] != ")":
-                    raise ValidationError(
-                        f"family syntax error at offset {offset}: unclosed '('"
-                    )
-                pos += 1
-                node: FamilyNode = inner
-            else:
-                pos += 1
-                node = FamilyAtom(token)
-            if pos < len(tokens) and tokens[pos][1] == "^":
-                caret_offset = tokens[pos][0]
-                pos += 1
-                node = FamilyPower(base=node, exponent=parse_exponent(caret_offset))
-            parts.append(node)
+    def sequence(parts: list[FamilyNode], offset: int) -> FamilyNode:
         if not parts:
-            offset = tokens[pos][0] if pos < len(tokens) else len(tokens)
             raise ValidationError(
                 f"family syntax error at offset {offset}: empty template"
             )
         return parts[0] if len(parts) == 1 else FamilySeq(tuple(parts))
 
-    template = parse_sequence(0)
-    if pos < len(tokens):
+    # Open groups, each with the offset of its '(' and the parts before it.
+    groups: list[tuple[int, list[FamilyNode]]] = []
+    parts: list[FamilyNode] = []
+    while pos < len(tokens):
+        offset, token = tokens[pos]
+        pos += 1
+        if token == "(":
+            groups.append((offset, parts))
+            parts = []
+            continue
+        if token == ")":
+            if not groups:
+                raise ValidationError(
+                    f"family syntax error at offset {offset}: unmatched ')'"
+                )
+            node = sequence(parts, offset)
+            parts = groups.pop()[1]
+        elif token == "^":
+            raise ValidationError(
+                f"family syntax error at offset {offset}: '^' without a base"
+            )
+        else:
+            node = FamilyAtom(token)
+        if pos < len(tokens) and tokens[pos][1] == "^":
+            caret_offset = tokens[pos][0]
+            pos += 1
+            node = FamilyPower(base=node, exponent=parse_exponent(caret_offset))
+        parts.append(node)
+    template = sequence(parts, len(tokens))
+    if groups:
         raise ValidationError(
-            f"family syntax error at offset {tokens[pos][0]}: unmatched ')'"
+            f"family syntax error at offset {groups[-1][0]}: unclosed '('"
         )
     return WordFamily(
         template=template,
@@ -280,16 +270,6 @@ def _resolve_exponent(
     return value
 
 
-def _family_length(node: FamilyNode, bindings: Mapping[str, int]) -> int:
-    if isinstance(node, FamilyAtom):
-        return 1
-    if isinstance(node, FamilyPower):
-        return _resolve_exponent(node.exponent, bindings) * _family_length(
-            node.base, bindings
-        )
-    return sum(_family_length(p, bindings) for p in node.parts)
-
-
 def _merged_bindings(
     family: WordFamily, bindings: Optional[Mapping[str, int]]
 ) -> dict[str, int]:
@@ -305,49 +285,70 @@ def family_word(
 ) -> tuple[str, ...]:
     """Instantiate the template into a concrete word."""
     merged = _merged_bindings(family, bindings)
-    length = _family_length(family.template, merged)
-    if length > budget:
-        raise CapExceeded(
-            f"budget exceeded: instantiated word has length {length} > {budget}"
-        )
 
-    def build(node: FamilyNode) -> tuple[str, ...]:
-        if isinstance(node, FamilyAtom):
-            return (node.letter,)
+    def shape(node: FamilyNode) -> tuple:
         if isinstance(node, FamilyPower):
-            return build(node.base) * _resolve_exponent(node.exponent, merged)
-        return tuple(letter for part in node.parts for letter in build(part))
+            return (), (node.base,), _resolve_exponent(node.exponent, merged)
+        if isinstance(node, FamilySeq):
+            return (), node.parts, 1
+        return (node.letter,), (), 1
 
-    return build(family.template)
+    return _spell(family.template, shape, budget, "instantiated word")
+
+
+def _spell(root, shape, budget: int, what: str) -> tuple[str, ...]:
+    """The letters of `root`'s expansion, left to right, within `budget`.
+
+    `shape(node)` is (letters, children, times): the node writes `letters`,
+    then its children in order, `times` over.  Nodes are first met in the
+    order a left-to-right recursion would meet them, and subtrees of length
+    0 are skipped, so an empty body is never repeated.
+    """
+    lengths: dict = {}
+
+    def length(node: object, values: list[int]) -> int:
+        letters, _, times = shape(node)
+        return len(letters) + times * sum(values)
+
+    total = fold(root, lambda node: shape(node)[1], length, lengths)
+    if total > budget:
+        raise CapExceeded(f"budget exceeded: {what} has length {total} > {budget}")
+
+    def parts(node: object) -> tuple:
+        letters, children, times = shape(node)
+        return letters + children * times if lengths[id(node)][1] else ()
+
+    return tuple(unfold(root, parts))
 
 
 def _family_matrix(
     automaton: Automaton,
-    node: FamilyNode,
+    template: FamilyNode,
     bindings: Mapping[str, int],
     memo: dict,
 ) -> ScaledMatrix:
-    relevant = tuple(
-        sorted((k, v) for k, v in bindings.items() if k in _free_parameters(node))
-    )
-    key = (node, relevant)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if isinstance(node, FamilyAtom):
-        result = automaton.scaled_matrix(node.letter)
-    elif isinstance(node, FamilyPower):
-        base = _family_matrix(automaton, node.base, bindings, memo)
-        result = scaled_power(base, _resolve_exponent(node.exponent, bindings))
-    else:
-        result = None
-        for part in node.parts:
-            block = _family_matrix(automaton, part, bindings, memo)
-            result = block if result is None else scaled_product(result, block)
-        if result is None:
+    """The template's scaled matrix.  `memo` is keyed by each node's
+    identity with the bindings of its own parameters, so grid points that
+    agree on a block's parameters share its matrix."""
+    free: dict = {}
+    _free_parameters(template, free)
+
+    def key(node: FamilyNode) -> tuple:
+        names = free[id(node)][1]
+        return id(node), tuple(sorted((k, bindings[k]) for k in names))
+
+    def matrix(node: FamilyNode, blocks: list[ScaledMatrix]) -> ScaledMatrix:
+        if isinstance(node, FamilyAtom):
+            return automaton.scaled_matrix(node.letter)
+        if isinstance(node, FamilyPower):
+            return scaled_power(
+                blocks[0], _resolve_exponent(node.exponent, bindings)
+            )
+        if not blocks:
             raise ValidationError("empty template")
-    memo[key] = result
-    return result
+        return functools.reduce(scaled_product, blocks)
+
+    return fold(template, _family_parts, matrix, memo, key)
 
 
 def evaluate_family_at(
@@ -381,17 +382,9 @@ def evaluate_family(
     names = sorted(grid)
     memo: dict = {}
     table: dict[tuple[tuple[str, int], ...], Fraction] = {}
-
-    def expand(prefix: dict[str, int], remaining: list[str]) -> None:
-        if not remaining:
-            point = tuple(sorted(prefix.items()))
-            table[point] = evaluate_family_at(automaton, family, prefix, memo)
-            return
-        name, rest = remaining[0], remaining[1:]
-        for value in grid[name]:
-            expand({**prefix, name: value}, rest)
-
-    expand({}, names)
+    for values in itertools.product(*(grid[name] for name in names)):
+        point = tuple(zip(names, values))
+        table[point] = evaluate_family_at(automaton, family, dict(point), memo)
     return table
 
 
@@ -414,32 +407,16 @@ def reify(
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
+    g = reification_exponent(expression, n)
 
-    def length(node: SharpExpression) -> int:
-        if isinstance(node, Epsilon):
-            return 0
-        if isinstance(node, Letter):
-            return 1
+    def shape(node: SharpExpression) -> tuple:
         if isinstance(node, Concat):
-            return length(node.left) + length(node.right)
-        return reification_exponent(node, n) * length(node.child)
+            return (), (node.left, node.right), 1
+        if isinstance(node, Iterate):
+            return (), (node.child,), g
+        return ((node.name,) if isinstance(node, Letter) else ()), (), 1
 
-    total = length(expression)
-    if total > budget:
-        raise CapExceeded(
-            f"budget exceeded: reified word has length {total} > {budget}"
-        )
-
-    def build(node: SharpExpression) -> tuple[str, ...]:
-        if isinstance(node, Epsilon):
-            return ()
-        if isinstance(node, Letter):
-            return (node.name,)
-        if isinstance(node, Concat):
-            return build(node.left) + build(node.right)
-        return build(node.child) * reification_exponent(node, n)
-
-    return build(expression)
+    return _spell(expression, shape, budget, "reified word")
 
 
 def expression_matrix(
@@ -451,45 +428,33 @@ def expression_matrix(
     """The exact transition matrix of reify(expression, n), without the word.
 
     Structural evaluation with fast matrix powers: each node is computed
-    once per n via the memo, which may be shared across calls.  The memo is
-    keyed by node identity and holds the node with its scaled matrix
-    (`automaton.ScaledMatrix`), so a node's id cannot be reused while the
-    memo lives.  Equal nodes that are distinct objects, such as the results
-    of two `parse_expression` calls, are each evaluated once; closure
-    provenance shares its nodes, so there every repeat is found.
+    once per n via the memo, which may be shared across calls.  The memo
+    maps n to a table keyed by node identity that holds the node with its
+    scaled matrix (`automaton.ScaledMatrix`), so a node's id cannot be
+    reused while the memo lives.  Equal nodes that are distinct objects,
+    such as the results of two `parse_expression` calls, are each evaluated
+    once; closure provenance shares its nodes, so there every repeat is found.
     """
-    return unscale_matrix(_expression_scaled(automaton, expression, n, memo))
+    table = {} if memo is None else memo.setdefault(n, {})
+    return unscale_matrix(_scaled_evaluator(automaton, n, table)(expression))
 
 
-def _expression_scaled(
-    automaton: Automaton,
-    expression: SharpExpression,
-    n: int,
-    memo: Optional[dict] = None,
-) -> ScaledMatrix:
+def _scaled_evaluator(automaton: Automaton, n: int, table: dict) -> Callable:
+    """Evaluates an expression reified at n to its scaled matrix, each node
+    once, memoised in `table` by node identity."""
     if n < 1:
         raise ValidationError("n must be at least 1")
-    table = {} if memo is None else memo
 
-    def evaluate(node: SharpExpression) -> ScaledMatrix:
-        key = (id(node), n)
-        hit = table.get(key)
-        if hit is not None:
-            return hit[1]
-        if isinstance(node, Epsilon):
-            result = scaled_identity(len(automaton.states))
-        elif isinstance(node, Letter):
-            result = automaton.scaled_matrix(node.name)
-        elif isinstance(node, Concat):
-            result = scaled_product(evaluate(node.left), evaluate(node.right))
-        else:
-            result = scaled_power(
-                evaluate(node.child), reification_exponent(node, n)
-            )
-        table[key] = (node, result)
-        return result
+    def matrix(node: SharpExpression, values: list[ScaledMatrix]) -> ScaledMatrix:
+        if isinstance(node, Concat):
+            return scaled_product(values[0], values[1])
+        if isinstance(node, Iterate):
+            return scaled_power(values[0], reification_exponent(node, n))
+        if isinstance(node, Letter):
+            return automaton.scaled_matrix(node.name)
+        return scaled_identity(len(automaton.states))
 
-    return evaluate(expression)
+    return functools.partial(fold, children=subterms, combine=matrix, memo=table)
 
 
 # ---------------------------------------------------------------------------
@@ -593,7 +558,7 @@ def check_consistency(
     """
     validate_thresholds(zero_eps, one_delta)
     eps, delta = Fraction(zero_eps), Fraction(one_delta)
-    memo: dict = {}
+    evaluate = _scaled_evaluator(automaton, n, {})
     reports = []
     for element in closure.elements:
         expression = closure.provenance[element]
@@ -602,7 +567,7 @@ def check_consistency(
                 element=element,
                 expression=expression,
                 n=n,
-                matrix=_expression_scaled(automaton, expression, n, memo),
+                matrix=evaluate(expression),
                 zero_eps=eps,
                 one_delta=delta,
             )
@@ -620,7 +585,8 @@ class LowerBoundReport:
 
     `entries` holds one `EntryCheck` (with `claimed == 1`) per edge the
     limit word claims, row-major; each was decided on ints against
-    p_min^(2^depth).
+    p_min^(2^depth).  `ok`, set when the report is built, holds when the
+    support is exact and every entry passes.
     """
 
     element: ExtendedLimitWord
@@ -629,10 +595,11 @@ class LowerBoundReport:
     depth: int
     support_exact: bool
     entries: tuple[EntryCheck, ...]
+    ok: bool = field(init=False)
 
-    @property
-    def ok(self) -> bool:
-        return self.support_exact and all(entry.ok for entry in self.entries)
+    def __post_init__(self) -> None:
+        ok = self.support_exact and all(entry.ok for entry in self.entries)
+        object.__setattr__(self, "ok", ok)
 
 
 def check_lower_bound(
@@ -652,11 +619,11 @@ def check_lower_bound(
         raise ValidationError("precondition violation: leak witness present")
     p_min = automaton.min_transition_probability
     p, q = p_min.numerator, p_min.denominator
-    memo: dict = {}
+    evaluate = _scaled_evaluator(automaton, n, {})
     reports = []
     for element in closure.elements:
         expression = closure.provenance[element]
-        rows, denominator = _expression_scaled(automaton, expression, n, memo)
+        rows, denominator = evaluate(expression)
         support = tuple(
             sum(1 << t for t, x in enumerate(row) if x) for row in rows
         )

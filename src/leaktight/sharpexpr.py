@@ -2,13 +2,21 @@
 
 Each node carries the limit word it evaluates to, so building an expression
 and evaluating it are the same act; the iterate constructor enforces the
-idempotency precondition exactly like `LimitWord.iterate`.
+idempotency precondition exactly like `LimitWord.iterate`.  A node's
+`height` and `depth` are set when it is built, from its children's.
+
+Every walk over an expression tree, here and in `oracle`, is one of two
+loops on an explicit stack, so no tree is too deep to walk: `fold` computes
+one value per distinct node, children first, and `unfold` writes a tree out
+left to right, once per occurrence of each node.
 """
 
 from __future__ import annotations
 
+import functools
+import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .errors import ValidationError
 from .limitword import LimitWord, letter_abstraction
@@ -27,86 +35,127 @@ __all__ = [
     "concat_expr",
     "iterate_expr",
     "parse_expression",
+    "subterms",
+    "fold",
+    "unfold",
 ]
 
 
+def fold(
+    root, children: Callable, combine: Callable, memo: Optional[dict] = None, key=id
+) -> object:
+    """The value of `root`, computed children first over a tree whose
+    subtrees may be shared: each distinct node is combined once, as
+    `combine(node, values)` with the values of `children(node)`, computed
+    left to right.  `memo` maps `key(node)`, by default the node's identity,
+    to (node, value); a node it holds from an earlier walk is not walked
+    again, and holding the node keeps its id from being reused."""
+    memo = {} if memo is None else memo
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        k = key(node)
+        if k in memo:
+            stack.pop()
+            continue
+        kids = children(node)
+        try:
+            values = [memo[key(kid)][1] for kid in kids]
+        except KeyError:  # compute the missing children first
+            stack += reversed([kid for kid in kids if key(kid) not in memo])
+            continue
+        stack.pop()
+        memo[k] = (node, combine(node, values))
+    return memo[key(root)][1]
+
+
+def unfold(root, parts: Callable[..., tuple]) -> list[str]:
+    """The strings of `root`'s expansion, left to right: `parts(node)` holds
+    strings, written out, and nodes, expanded in turn.  A node is expanded
+    at each of its occurrences, so the work is linear in what is written."""
+    out: list[str] = []
+    stack = [root]
+    pop, write = stack.pop, out.append
+    while stack:
+        item = pop()
+        if type(item) is str:
+            write(item)
+        else:
+            stack += parts(item)[::-1]
+    return out
+
+
+class _Node:
+    """What every node shares: `height` counts nested iterates, `depth`
+    nested concatenations and iterates, and `render` writes its text."""
+
+    height = depth = 0
+
+    def render(self) -> str:
+        return "".join(unfold(self, _text))
+
+
 @dataclass(frozen=True)
-class Epsilon:
+class Epsilon(_Node):
     """The empty word; evaluates to the identity."""
 
     word: LimitWord
 
-    @property
-    def height(self) -> int:
-        return 0
-
-    @property
-    def depth(self) -> int:
-        return 0
-
-    def render(self) -> str:
-        return "ε"
-
 
 @dataclass(frozen=True)
-class Letter:
+class Letter(_Node):
     """A single alphabet letter."""
 
     name: str
     word: LimitWord
 
-    @property
-    def height(self) -> int:
-        return 0
 
-    @property
-    def depth(self) -> int:
-        return 0
-
-    def render(self) -> str:
-        return self.name
+# An inner node sets its fields and its counts once, in one dict update,
+# which costs what the frozen fields alone did.
 
 
-@dataclass(frozen=True)
-class Concat:
+@dataclass(frozen=True, init=False)
+class Concat(_Node):
     """Sequential composition of two expressions."""
 
     left: "SharpExpression"
     right: "SharpExpression"
     word: LimitWord
 
-    @property
-    def height(self) -> int:
-        return max(self.left.height, self.right.height)
-
-    @property
-    def depth(self) -> int:
-        return 1 + max(self.left.depth, self.right.depth)
-
-    def render(self) -> str:
-        return f"{self.left.render()} {self.right.render()}"
+    def __init__(self, left: SharpExpression, right: SharpExpression, word: LimitWord):
+        height = max(left.height, right.height)
+        depth = 1 + max(left.depth, right.depth)
+        vars(self).update(left=left, right=right, word=word, height=height, depth=depth)
 
 
-@dataclass(frozen=True)
-class Iterate:
+@dataclass(frozen=True, init=False)
+class Iterate(_Node):
     """The iterate of an idempotent expression."""
 
     child: "SharpExpression"
     word: LimitWord
 
-    @property
-    def height(self) -> int:
-        return 1 + self.child.height
-
-    @property
-    def depth(self) -> int:
-        return 1 + self.child.depth
-
-    def render(self) -> str:
-        return f"({self.child.render()})#"
+    def __init__(self, child: SharpExpression, word: LimitWord):
+        height, depth = 1 + child.height, 1 + child.depth
+        vars(self).update(child=child, word=word, height=height, depth=depth)
 
 
 SharpExpression = Union[Epsilon, Letter, Concat, Iterate]
+
+
+def subterms(node: SharpExpression) -> tuple[SharpExpression, ...]:
+    """The node's children, left to right."""
+    if isinstance(node, Concat):
+        return node.left, node.right
+    return (node.child,) if isinstance(node, Iterate) else ()
+
+
+def _text(node: SharpExpression) -> tuple:
+    if isinstance(node, Concat):
+        return node.left, " ", node.right
+    if isinstance(node, Iterate):
+        return "(", node.child, ")#"
+    return (node.name,) if isinstance(node, Letter) else ("ε",)
 
 
 def epsilon_expr(dim: int) -> Epsilon:
@@ -129,88 +178,66 @@ def iterate_expr(child: SharpExpression) -> Iterate:
     return Iterate(child=child, word=child.word.iterate())
 
 
+# `(`, `)#`, a run of anything else but whitespace (`\s` is exactly
+# `str.isspace`), or a lone `)` or `#`, which is an error.
+_TOKEN = re.compile(r"\(|\)#|[^\s()#]+|[)#]")
+_STRAY = {")": "')' must be followed by '#'", "#": "'#' outside ')#'"}
+
+
 def _tokenize(text: str) -> list[tuple[int, str]]:
-    tokens: list[tuple[int, str]] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "(":
-            tokens.append((i, "("))
-            i += 1
-            continue
-        if c == ")":
-            if text[i : i + 2] != ")#":
-                raise ValidationError(
-                    f"expression syntax error at offset {i}: ')' must be followed by '#'"
-                )
-            tokens.append((i, ")#"))
-            i += 2
-            continue
-        if c == "#":
+    tokens = [(match.start(), match.group()) for match in _TOKEN.finditer(text)]
+    for offset, token in tokens:
+        if token in _STRAY:
             raise ValidationError(
-                f"expression syntax error at offset {i}: '#' outside ')#'"
+                f"expression syntax error at offset {offset}: {_STRAY[token]}"
             )
-        j = i
-        while j < len(text) and text[j] not in "()#" and not text[j].isspace():
-            j += 1
-        tokens.append((i, text[i:j]))
-        i = j
     return tokens
+
+
+def _concat_all(parts: list[SharpExpression]) -> SharpExpression:
+    if not parts:
+        raise ValidationError("expression syntax error: empty expression")
+    return functools.reduce(concat_expr, parts)
 
 
 def parse_expression(text: str, automaton: "Automaton") -> SharpExpression:
     """Parse `a b (c)#`-style text into an expression over the automaton's letters.
 
     Whitespace-separated atoms concatenate left to right; `( … )#` applies the
-    iterate operator to the bracketed expression; `ε` is the empty word.
+    iterate operator to the bracketed expression; `ε` is the empty word.  Each
+    open group is stacked with the offset of its `(` and the parts before it.
     """
-    tokens = _tokenize(text)
-    pos = 0
-
-    def parse_sequence(stop_at_close: bool) -> SharpExpression:
-        nonlocal pos
-        parts: list[SharpExpression] = []
-        while pos < len(tokens):
-            offset, token = tokens[pos]
-            if token == ")#":
-                break
-            if token == "(":
-                pos += 1
-                inner = parse_sequence(stop_at_close=True)
-                if pos >= len(tokens) or tokens[pos][1] != ")#":
-                    raise ValidationError(
-                        f"expression syntax error at offset {offset}: unclosed '('"
-                    )
-                pos += 1
-                parts.append(iterate_expr(inner))
-                continue
-            pos += 1
-            if token == "ε":
-                parts.append(epsilon_expr(len(automaton.states)))
-                continue
-            if token not in automaton.letter_index:
+    groups: list[tuple[int, list[SharpExpression]]] = []
+    parts: list[SharpExpression] = []
+    for offset, token in _tokenize(text):
+        if token == "(":
+            groups.append((offset, parts))
+            parts = []
+        elif token == ")#":
+            if not groups:
+                _concat_all(parts)  # an empty expression is reported first
                 raise ValidationError(
-                    f"expression syntax error at offset {offset}: "
-                    f"unknown letter {token!r}"
+                    f"expression syntax error at offset {offset}: unmatched ')#'"
                 )
+            if not parts:
+                raise ValidationError(
+                    f"expression syntax error at offset {offset}: empty group"
+                )
+            inner = iterate_expr(_concat_all(parts))
+            parts = groups.pop()[1]
+            parts.append(inner)
+        elif token == "ε":
+            parts.append(epsilon_expr(len(automaton.states)))
+        elif token in automaton.letter_index:
             parts.append(letter_expr(automaton, token))
-        if not parts:
-            if stop_at_close and pos < len(tokens):
-                raise ValidationError(
-                    f"expression syntax error at offset {tokens[pos][0]}: empty group"
-                )
-            raise ValidationError("expression syntax error: empty expression")
-        expr = parts[0]
-        for part in parts[1:]:
-            expr = concat_expr(expr, part)
-        return expr
-
-    expr = parse_sequence(stop_at_close=False)
-    if pos < len(tokens):
+        else:
+            raise ValidationError(
+                f"expression syntax error at offset {offset}: "
+                f"unknown letter {token!r}"
+            )
+    expr = _concat_all(parts)
+    if groups:
         raise ValidationError(
-            f"expression syntax error at offset {tokens[pos][0]}: unmatched ')#'"
+            f"expression syntax error at offset {groups[-1][0]}: unclosed '('"
         )
     return expr

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from leaktight import (
     Automaton,
     ExtendedClosure,
+    ExtendedLimitWord,
     LimitWord,
     MonoidClosure,
     extended_markov_monoid,
@@ -43,6 +44,15 @@ def seeded_closure(seed: int) -> MonoidClosure:
 @functools.lru_cache(maxsize=None)
 def seeded_extended(seed: int) -> ExtendedClosure:
     return extended_markov_monoid(seeded_automaton(seed))
+
+
+def idempotent_pairs(closure: ExtendedClosure) -> frozenset[ExtendedLimitWord]:
+    """The pairs whose word and support are both idempotent, as the
+    saturation found them, each decoded."""
+    saturation = closure._saturation
+    return frozenset(
+        ExtendedLimitWord(*saturation.words(i)) for i in saturation.idempotents
+    )
 
 
 def corpus() -> range:

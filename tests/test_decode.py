@@ -41,7 +41,7 @@ from leaktight.leaks import ExtendedLimitWord
 from leaktight.monoid import DEFAULT_CAP, saturate
 from leaktight.sharpexpr import Epsilon, epsilon_expr, letter_expr
 
-from .helpers import automata, corpus, seeded_automaton
+from .helpers import automata, corpus, idempotent_pairs, seeded_automaton
 from .reference_saturation import (
     closure_record,
     reference_cayley_saturate,
@@ -102,7 +102,7 @@ def fields(closure) -> tuple:
     elements = closure.elements
     rendered = [(closure.provenance[e].render(), closure.provenance[e].word) for e in elements]
     heights = [closure.heights[e] for e in elements]
-    idempotents = closure.idempotents if isinstance(closure, ExtendedClosure) else None
+    idempotents = idempotent_pairs(closure) if isinstance(closure, ExtendedClosure) else None
     return elements, rendered, heights, idempotents
 
 
@@ -119,7 +119,7 @@ def read_heights_first(closure) -> None:
 
 def read_idempotents_first(closure) -> None:
     if isinstance(closure, ExtendedClosure):
-        assert closure.idempotents
+        assert idempotent_pairs(closure)
 
 
 def read_nothing_first(closure) -> None:

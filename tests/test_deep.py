@@ -1,0 +1,198 @@
+"""Expressions and templates far deeper than Python's recursion limit.
+
+Every walk over an expression tree runs on an explicit stack, so depth
+alone never ends in `RecursionError`.  The trees here are 5,000 levels
+deep, five times the default limit, and each answer is checked against
+its closed form.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction as F
+
+import pytest
+
+from leaktight import (
+    Automaton,
+    CapExceeded,
+    LimitWord,
+    automaton_to_json,
+    check_lower_bound,
+    concat_expr,
+    epsilon_expr,
+    evaluate_family_at,
+    expression_matrix,
+    extended_markov_monoid,
+    family_word,
+    is_value1_witness,
+    iterate_expr,
+    letter_expr,
+    parse_expression,
+    parse_family,
+    reify,
+)
+from leaktight.cli import main
+from leaktight.zoo import fig3
+
+DEPTH = 5000
+ONE = (((F(1),),),)
+
+
+def one_state() -> Automaton:
+    return Automaton(
+        states=("p",), alphabet=("a",), initial="p", final=frozenset({"p"}), matrices=ONE
+    )
+
+
+def chain(automaton: Automaton, depth: int):
+    """a a … a, depth + 1 letters, concatenated left to right."""
+    a = letter_expr(automaton, "a")
+    expression = a
+    for _ in range(depth):
+        expression = concat_expr(expression, a)
+    return expression
+
+
+def nest(body, depth: int):
+    """(…((body)#)#…)#, depth iterates deep."""
+    for _ in range(depth):
+        body = iterate_expr(body)
+    return body
+
+
+def test_deep_concatenation_chain() -> None:
+    automaton = one_state()
+    expression = chain(automaton, DEPTH)
+    assert expression.height == 0
+    assert expression.depth == DEPTH
+    assert expression.render() == " ".join(["a"] * (DEPTH + 1))
+    assert reify(expression, 3) == ("a",) * (DEPTH + 1)
+    assert expression_matrix(automaton, expression, 3) == ((F(1),),)
+
+
+def test_deep_nest_of_empty_iterates() -> None:
+    automaton = one_state()
+    expression = nest(epsilon_expr(1), DEPTH)
+    assert expression.height == DEPTH and expression.depth == DEPTH
+    assert expression.render() == "(" * DEPTH + "ε" + ")#" * DEPTH
+    # g(n) = n·1! = n repetitions per level of an empty body: nothing to write.
+    assert reify(expression, 7) == ()
+    assert expression_matrix(automaton, expression, 7) == ((F(1),),)
+
+
+def test_deep_nest_of_letter_iterates() -> None:
+    automaton = one_state()
+    expression = nest(letter_expr(automaton, "a"), DEPTH)
+    assert reify(expression, 1) == ("a",)
+    with pytest.raises(CapExceeded, match="reified word has length"):
+        reify(expression, 2)  # 2^5000 letters
+    assert expression_matrix(automaton, expression, 2) == ((F(1),),)
+
+
+def empty_nest(automaton: Automaton, depth: int):
+    return nest(epsilon_expr(1), depth)
+
+
+@pytest.mark.parametrize("build", [chain, empty_nest])
+def test_lower_bound_reads_a_deep_provenance(build) -> None:
+    automaton = one_state()
+    closure = extended_markov_monoid(automaton)
+    # `Saturation.expression` hands out the node it holds for an element,
+    # so a deep expression of the same word, put there before the closure
+    # is read, stands in as the provenance of its one element.
+    expression = build(automaton, DEPTH)
+    closure._saturation._nodes[0] = expression
+    (element,) = closure.elements
+    assert closure.provenance[element] is expression
+    assert expression.word == element.word
+    (report,) = check_lower_bound(automaton, closure)
+    # p_min = 1, so every claimed entry is 1 and no power of p_min is taken.
+    assert report.depth == DEPTH
+    assert report.ok and report.support_exact
+    assert [(e.s, e.t, e.numerator, e.denominator) for e in report.entries] == [(0, 0, 1, 1)]
+
+
+def test_parse_deep_expression() -> None:
+    text = "(" * DEPTH + "ε" + ")#" * DEPTH
+    expression = parse_expression(text, fig3())
+    assert expression.height == DEPTH
+    assert expression.render() == text
+    assert expression.word == LimitWord.identity(2)
+
+
+def test_parse_and_evaluate_deep_template() -> None:
+    a = fig3()
+    wrapped = parse_family("(" * DEPTH + "a" + ")" * DEPTH)
+    assert wrapped == parse_family("a")
+    powers = parse_family("(" * DEPTH + "a" + ")^n" * DEPTH)
+    assert powers.parameters() == {"n"}
+    assert family_word(powers, {"n": 1}) == ("a",)
+    with pytest.raises(CapExceeded, match="instantiated word has length"):
+        family_word(powers, {"n": 2})
+    assert evaluate_family_at(a, powers, {"n": 1}) == evaluate_family_at(
+        a, parse_family("a"), {}
+    )
+
+
+# ---------------------------------------------------------------------------
+# The command line
+
+
+def permutation_28() -> Automaton:
+    """One letter permuting 28 states in cycles of 2, 3, 5, 7 and 11."""
+    successor = {}
+    start = 0
+    for length in (2, 3, 5, 7, 11):
+        for i in range(length):
+            successor[start + i] = start + (i + 1) % length
+        start += length
+    matrix = tuple(
+        tuple(F(int(successor[s] == t)) for t in range(28)) for s in range(28)
+    )
+    return Automaton(
+        states=tuple(str(s) for s in range(28)),
+        alphabet=("a",),
+        initial="0",
+        final=frozenset({"1"}),
+        matrices=(matrix,),
+    )
+
+
+def test_reify_skips_an_empty_body_repeated_g_times() -> None:
+    # g(1) = 28! repetitions of nothing: skipped, not built.
+    automaton = permutation_28()
+    assert reify(parse_expression("(ε)# a (ε)#", automaton), 1) == ("a",)
+
+
+def run_json(capsys, argv: list[str]) -> dict:
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (0, "")
+    return json.loads(captured.out)
+
+
+def test_value1_with_a_deep_witness(capsys, tmp_path) -> None:
+    # Deterministic, so leaktight; its closure is a^1 … a^2310, and the
+    # witness found is a chain of over two thousand concatenations.
+    automaton = permutation_28()
+    path = tmp_path / "perm28.json"
+    path.write_text(json.dumps(automaton_to_json(automaton)))
+    report = run_json(capsys, ["value1", str(path)])
+    assert report["value1"] == "yes" and report["leaktight"] == "yes"
+    witness = parse_expression(report["witness"], automaton)
+    assert witness.depth > 2000
+    assert is_value1_witness(automaton, witness.word)
+
+
+def test_estimate_value_on_a_deeply_wrapped_template(capsys, tmp_path) -> None:
+    path = tmp_path / "fig3.json"
+    path.write_text(json.dumps(automaton_to_json(fig3())))
+    plain = run_json(capsys, ["estimate-value", str(path), "a"])
+    wrapped = run_json(
+        capsys, ["estimate-value", str(path), "(" * DEPTH + "a" + ")" * DEPTH]
+    )
+    assert (wrapped["value"], wrapped["value_approx"]) == (
+        plain["value"],
+        plain["value_approx"],
+    )

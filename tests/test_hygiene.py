@@ -145,3 +145,45 @@ def test_numeric_reference_stays_independent_of_the_fast_path() -> None:
                 if alias.name == "automaton" or alias.name in forbidden
             ]
     assert not found, "reference imports the fast path:\n" + "\n".join(found)
+
+
+# Modules whose walks over expression trees must not recurse, so that no
+# expression is too deep for them: each walk runs on an explicit stack.
+RECURSION_FREE = ("sharpexpr.py", "oracle.py")
+
+
+def self_references(tree: ast.Module) -> list[str]:
+    """Each function that calls its own name, or reads an attribute of its
+    own name (such as `self.left.render()` in `render`)."""
+    found = []
+    for function in ast.walk(tree):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name = function.name
+        for node in (n for statement in function.body for n in ast.walk(statement)):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == name:
+                    found.append(f"{node.lineno}: {name} calls {name}")
+            elif isinstance(node, ast.Attribute) and node.attr == name:
+                found.append(f"{node.lineno}: {name} reads .{name}")
+    return found
+
+
+@pytest.mark.parametrize("name", RECURSION_FREE)
+def test_expression_walks_do_not_recurse(name: str) -> None:
+    path = PACKAGE / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    found = self_references(tree)
+    assert not found, f"{name}: recursive functions:\n" + "\n".join(found)
+
+
+def test_no_module_raises_the_recursion_limit() -> None:
+    found = []
+    for path in EVERY_MODULE:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "setrecursionlimit":
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.alias) and node.name == "setrecursionlimit":
+                found.append(f"{path.name}: imports setrecursionlimit")
+    assert not found, "sys.setrecursionlimit in:\n" + "\n".join(found)

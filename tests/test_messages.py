@@ -311,6 +311,22 @@ def test_syntax_error_position_is_pinned(capsys, tmp_path) -> None:
     )
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, '{"a": ' * 100_000 + "1" + "}" * 100_000],
+    ids=["arrays", "objects"],
+)
+def test_nesting_too_deep_is_pinned(capsys, tmp_path, text: str) -> None:
+    # Deeper than the JSON decoder's own stack: an error line, not a traceback.
+    path = tmp_path / "deep.json"
+    path.write_text(text, encoding="utf-8")
+    assert run(["validate", str(path)], capsys) == (
+        1,
+        "",
+        "error: the document is nested too deeply to read\n",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Automata built directly
 

@@ -48,7 +48,14 @@ from leaktight.sharpexpr import (
     letter_expr,
 )
 
-from .helpers import automata, corpus, seeded_automaton, seeded_closure, seeded_extended
+from .helpers import (
+    automata,
+    corpus,
+    idempotent_pairs,
+    seeded_automaton,
+    seeded_closure,
+    seeded_extended,
+)
 from .reference_saturation import (
     reference_bounded_witness_search,
     reference_cayley_saturate,
@@ -119,7 +126,7 @@ def assert_same_closure(closure, reference) -> None:
         assert expression.word == word
         assert expression.height == closure.heights[element]
     if isinstance(closure, ExtendedClosure):
-        assert closure.idempotents == reference.idempotents
+        assert idempotent_pairs(closure) == reference.idempotents
 
 
 def outcome(build, automaton, cap: int):
