@@ -13,12 +13,8 @@ from .automaton import (
     Matrix,
     automaton_from_json,
     automaton_to_json,
-    identity_matrix,
-    matrix_power,
-    matrix_product,
     parallel_composition,
     parse_automaton,
-    render_automaton,
     synchronized_product,
 )
 from .classes import is_deterministic, is_hierarchical, is_sharp_acyclic
@@ -92,12 +88,8 @@ __all__ = [
     "Matrix",
     "automaton_from_json",
     "automaton_to_json",
-    "identity_matrix",
-    "matrix_power",
-    "matrix_product",
     "parallel_composition",
     "parse_automaton",
-    "render_automaton",
     "synchronized_product",
     "is_deterministic",
     "is_hierarchical",

@@ -35,9 +35,6 @@ __all__ = [
     "ScaledMatrix",
     "ScaledVector",
     "Automaton",
-    "identity_matrix",
-    "matrix_product",
-    "matrix_power",
     "unscale_matrix",
     "scale_vector",
     "scaled_identity",
@@ -46,7 +43,6 @@ __all__ = [
     "parse_automaton",
     "automaton_from_json",
     "automaton_to_json",
-    "render_automaton",
     "parallel_composition",
     "synchronized_product",
 ]
@@ -62,12 +58,6 @@ _SparseRows = tuple[tuple[tuple[int, int], ...], ...]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def identity_matrix(dim: int) -> Matrix:
-    return tuple(
-        tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim)
-    )
 
 
 def _reduced(entries: Sequence[int], denominator: int) -> tuple[tuple[int, ...], int]:
@@ -94,19 +84,6 @@ def scale_vector(entries: Sequence[Fraction]) -> ScaledVector:
     return (
         tuple(
             entry.numerator * (denominator // entry.denominator) for entry in entries
-        ),
-        denominator,
-    )
-
-
-def _scale_matrix(matrix: Matrix) -> ScaledMatrix:
-    denominator = math.lcm(*(entry.denominator for row in matrix for entry in row))
-    return (
-        tuple(
-            tuple(
-                entry.numerator * (denominator // entry.denominator) for entry in row
-            )
-            for row in matrix
         ),
         denominator,
     )
@@ -171,14 +148,6 @@ def scaled_power(matrix: ScaledMatrix, exponent: int) -> ScaledMatrix:
         rows, _ = matrix
         return scaled_identity(len(rows))
     return result
-
-
-def matrix_product(left: Matrix, right: Matrix) -> Matrix:
-    return unscale_matrix(scaled_product(_scale_matrix(left), _scale_matrix(right)))
-
-
-def matrix_power(matrix: Matrix, exponent: int) -> Matrix:
-    return unscale_matrix(scaled_power(_scale_matrix(matrix), exponent))
 
 
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
@@ -336,7 +305,7 @@ class Automaton:
         return unscale_matrix(result)
 
     def scaled_step(self, distribution: ScaledVector, letter: str) -> ScaledVector:
-        """`step` on a scaled distribution, over the letter's nonzero entries."""
+        """The scaled `distribution` after `letter`, over the letter's nonzero entries."""
         rows, letter_denominator = self._sparse_letters[self._letter(letter)]
         numerators, denominator = distribution
         successor = [0] * len(numerators)
@@ -346,17 +315,9 @@ class Automaton:
                     successor[t] += x * p
         return _reduced(successor, denominator * letter_denominator)
 
-    def step(self, distribution: tuple[Fraction, ...], letter: str) -> tuple[Fraction, ...]:
-        """One letter of evolution of a distribution row vector."""
-        numerators, denominator = self.scaled_step(scale_vector(distribution), letter)
-        return tuple(Fraction(x, denominator) for x in numerators)
-
     def initial_distribution(self) -> tuple[Fraction, ...]:
         i = self.state_index[self.initial]
         return tuple(ONE if s == i else ZERO for s in range(len(self.states)))
-
-    def acceptance_of(self, distribution: Sequence[Fraction]) -> Fraction:
-        return sum((distribution[f] for f in self.final_indices), start=ZERO)
 
     def acceptance_probability(self, word: Iterable[str]) -> Fraction:
         """Probability that reading `word` from the initial state ends in a final state."""
@@ -528,10 +489,6 @@ def automaton_to_json(automaton: Automaton) -> dict:
         "final": [s for s in automaton.states if s in automaton.final],
         "transitions": transitions,
     }
-
-
-def render_automaton(automaton: Automaton) -> str:
-    return json.dumps(automaton_to_json(automaton), indent=2, ensure_ascii=False)
 
 
 # ---------------------------------------------------------------------------

@@ -43,9 +43,9 @@ def is_hierarchical(automaton: Automaton) -> Optional[dict[str, int]]:
     then follow the component order.
     """
     dim = len(automaton.states)
+    letters = [letter_abstraction(automaton, letter) for letter in automaton.alphabet]
     support = [0] * dim
-    for letter in automaton.alphabet:
-        abstraction = letter_abstraction(automaton, letter)
+    for abstraction in letters:
         for s in range(dim):
             support[s] |= abstraction.rows[s]
 
@@ -58,8 +58,7 @@ def is_hierarchical(automaton: Automaton) -> Optional[dict[str, int]]:
     for index, component in enumerate(components):
         for s in component:
             component_of[s] = index
-    for letter in automaton.alphabet:
-        abstraction = letter_abstraction(automaton, letter)
+    for abstraction in letters:
         for s in range(dim):
             same_rank = 0
             row = abstraction.rows[s]

@@ -60,11 +60,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_automaton(path: str) -> Automaton:
-    if path == "-":
-        return parse_automaton(sys.stdin.read())
+    """The automaton at `path`, or on standard input for `-`, decoded alike."""
     try:
-        with open(path, "rb", buffering=0) as handle:
-            data = handle.read()
+        if path == "-":
+            data = sys.stdin.buffer.read()
+        else:
+            with open(path, "rb", buffering=0) as handle:
+                data = handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     try:
@@ -168,39 +170,26 @@ def _run_leaktight(args: argparse.Namespace) -> dict:
 
 
 def _run_monoid(args: argparse.Namespace) -> dict:
+    """`monoid`, or `extended-monoid`, whose elements also carry a support."""
     automaton = _read_automaton(args.input)
-    closure = markov_monoid(automaton, args.cap)
+    extended = args.command == "extended-monoid"
+    build = extended_markov_monoid if extended else markov_monoid
+    closure = build(automaton, args.cap)
+    elements = []
+    for element in closure.elements:
+        entry = {
+            "expression": closure.provenance[element].render(),
+            "height": closure.heights[element],
+            "word": _word_lines(element.word if extended else element, automaton),
+        }
+        if extended:
+            entry["support"] = _word_lines(element.support, automaton)
+        elements.append(entry)
     return {
         "digest": _digest(automaton),
         "size": len(closure),
         "max_height": closure.max_height,
-        "elements": [
-            {
-                "expression": closure.provenance[element].render(),
-                "height": closure.heights[element],
-                "word": _word_lines(element, automaton),
-            }
-            for element in closure.elements
-        ],
-    }
-
-
-def _run_extended_monoid(args: argparse.Namespace) -> dict:
-    automaton = _read_automaton(args.input)
-    closure = extended_markov_monoid(automaton, args.cap)
-    return {
-        "digest": _digest(automaton),
-        "size": len(closure),
-        "max_height": closure.max_height,
-        "elements": [
-            {
-                "expression": closure.provenance[element].render(),
-                "height": closure.heights[element],
-                "word": _word_lines(element.word, automaton),
-                "support": _word_lines(element.support, automaton),
-            }
-            for element in closure.elements
-        ],
+        "elements": elements,
     }
 
 
@@ -363,7 +352,7 @@ _HANDLERS: dict[str, Callable[[argparse.Namespace], dict]] = {
     "value1": _run_value1,
     "leaktight": _run_leaktight,
     "monoid": _run_monoid,
-    "extended-monoid": _run_extended_monoid,
+    "extended-monoid": _run_monoid,
     "sharp-height": _run_sharp_height,
     "classify": _run_classify,
     "compose": _run_compose,

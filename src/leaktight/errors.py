@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+__all__ = ["ValidationError", "CapExceeded"]
+
 
 class ValidationError(ValueError):
     """An input document or argument violates the model invariants."""

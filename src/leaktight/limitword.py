@@ -10,7 +10,7 @@ recurrent states.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 
@@ -52,30 +52,11 @@ class LimitWord:
     def identity(dim: int) -> LimitWord:
         return LimitWord(dim, tuple(1 << s for s in range(dim)))
 
-    @staticmethod
-    def from_sets(dim: int, successors: Iterable[Iterable[int]]) -> LimitWord:
-        rows = []
-        for targets in successors:
-            row = 0
-            for t in targets:
-                if not 0 <= t < dim:
-                    raise ValidationError(f"state {t} outside dimension {dim}")
-                row |= 1 << t
-            rows.append(row)
-        return LimitWord(dim, tuple(rows))
-
     # -- queries -------------------------------------------------------------
 
     def __contains__(self, pair: tuple[int, int]) -> bool:
         s, t = pair
         return bool(self.rows[s] >> t & 1)
-
-    def successors(self, s: int) -> tuple[int, ...]:
-        row = self.rows[s]
-        return tuple(t for t in range(self.dim) if row >> t & 1)
-
-    def is_identity(self) -> bool:
-        return all(row == 1 << s for s, row in enumerate(self.rows))
 
     def sort_key(self) -> tuple[tuple[int, ...], ...]:
         """Row-major bit order: row 0 first, and within a row bit 0 first."""

@@ -39,7 +39,8 @@ from .errors import CapExceeded, ValidationError
 from .leaks import ExtendedClosure, ExtendedLimitWord, find_leak_witness
 from .limitword import LimitWord
 from .monoid import MonoidClosure
-from .sharpexpr import Concat, Iterate, Letter, SharpExpression, fold, subterms, unfold
+from .sharpexpr import Concat, Iterate, Letter, SharpExpression, TreeNode
+from .sharpexpr import fold, subterms, unfold
 
 __all__ = [
     "DEFAULT_BUDGET",
@@ -120,19 +121,19 @@ def brute_force_value(
 # Word families: `(b a^n)^N`-style templates
 
 
-@dataclass(frozen=True)
-class FamilyAtom:
+@dataclass(frozen=True, eq=False, repr=False)
+class FamilyAtom(TreeNode):
     letter: str
 
 
-@dataclass(frozen=True)
-class FamilyPower:
+@dataclass(frozen=True, eq=False, repr=False)
+class FamilyPower(TreeNode):
     base: "FamilyNode"
     exponent: Union[int, str]
 
 
-@dataclass(frozen=True)
-class FamilySeq:
+@dataclass(frozen=True, eq=False, repr=False)
+class FamilySeq(TreeNode):
     parts: tuple["FamilyNode", ...]
 
 
@@ -141,10 +142,9 @@ FamilyNode = Union[FamilyAtom, FamilyPower, FamilySeq]
 
 @dataclass(frozen=True)
 class WordFamily:
-    """A parameterized word template with optional default bindings."""
+    """A parameterized word template."""
 
     template: FamilyNode
-    bindings: tuple[tuple[str, int], ...] = ()
 
     def parameters(self) -> frozenset[str]:
         return _free_parameters(self.template)
@@ -175,9 +175,7 @@ def _tokenize_family(text: str) -> list[tuple[int, str]]:
     return [(match.start(), match.group()) for match in _FAMILY_TOKEN.finditer(text)]
 
 
-def parse_family(
-    text: str, bindings: Optional[Mapping[str, int]] = None
-) -> WordFamily:
+def parse_family(text: str) -> WordFamily:
     """Parse a template like `(b a^n)^N` into a word family.
 
     Atoms are whitespace-separated letters; `^` raises the preceding letter
@@ -250,10 +248,7 @@ def parse_family(
         raise ValidationError(
             f"family syntax error at offset {groups[-1][0]}: unclosed '('"
         )
-    return WordFamily(
-        template=template,
-        bindings=tuple(sorted((bindings or {}).items())),
-    )
+    return WordFamily(template)
 
 
 def _resolve_exponent(
@@ -270,25 +265,17 @@ def _resolve_exponent(
     return value
 
 
-def _merged_bindings(
-    family: WordFamily, bindings: Optional[Mapping[str, int]]
-) -> dict[str, int]:
-    merged = dict(family.bindings)
-    merged.update(bindings or {})
-    return merged
-
-
 def family_word(
     family: WordFamily,
     bindings: Optional[Mapping[str, int]] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[str, ...]:
     """Instantiate the template into a concrete word."""
-    merged = _merged_bindings(family, bindings)
+    bindings = {} if bindings is None else bindings
 
     def shape(node: FamilyNode) -> tuple:
         if isinstance(node, FamilyPower):
-            return (), (node.base,), _resolve_exponent(node.exponent, merged)
+            return (), (node.base,), _resolve_exponent(node.exponent, bindings)
         if isinstance(node, FamilySeq):
             return (), node.parts, 1
         return (node.letter,), (), 1
@@ -358,12 +345,12 @@ def evaluate_family_at(
     memo: Optional[dict] = None,
 ) -> Fraction:
     """Exact acceptance probability of one instantiation of the family."""
-    merged = _merged_bindings(family, bindings)
-    missing = family.parameters() - set(merged)
+    bindings = {} if bindings is None else bindings
+    missing = family.parameters() - set(bindings)
     if missing:
         raise ValidationError(f"unbound parameter {sorted(missing)[0]!r}")
     rows, denominator = _family_matrix(
-        automaton, family.template, merged, {} if memo is None else memo
+        automaton, family.template, bindings, {} if memo is None else memo
     )
     row = rows[automaton.state_index[automaton.initial]]
     return Fraction(sum(row[f] for f in automaton.final_indices), denominator)

@@ -8,14 +8,15 @@ idempotency precondition exactly like `LimitWord.iterate`.  A node's
 Every walk over an expression tree, here and in `oracle`, is one of two
 loops on an explicit stack, so no tree is too deep to walk: `fold` computes
 one value per distinct node, children first, and `unfold` writes a tree out
-left to right, once per occurrence of each node.
+left to right, once per occurrence of each node.  `TreeNode`'s `==` and
+`repr` do not recurse either.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .errors import ValidationError
@@ -38,6 +39,7 @@ __all__ = [
     "subterms",
     "fold",
     "unfold",
+    "TreeNode",
 ]
 
 
@@ -85,7 +87,57 @@ def unfold(root, parts: Callable[..., tuple]) -> list[str]:
     return out
 
 
-class _Node:
+class TreeNode:
+    """A frozen dataclass, declared `eq=False, repr=False`, whose fields may
+    hold nodes or tuples of nodes.  `==` and `repr` mean what a dataclass's
+    do, without recursion: `==` compares each pair of nodes once, on a stack,
+    `unfold` writes `repr`, and `hash` reads only the node's own attributes."""
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs, seen = [(self, other)], set()  # the roots keep each id alive
+        while pairs:
+            x, y = pairs.pop()
+            if isinstance(x, TreeNode):
+                if type(x) is not type(y):
+                    return False
+                if x is not y and (id(x), id(y)) not in seen:
+                    seen.add((id(x), id(y)))
+                    names = [f.name for f in fields(x) if f.compare]
+                    pairs += ((getattr(x, n), getattr(y, n)) for n in names)
+            elif type(x) is tuple and type(y) is tuple and len(x) == len(y):
+                pairs += zip(x, y)
+            elif x != y:
+                return False
+        return True
+
+    def __hash__(self) -> int:  # each child, or tuple of them, counts by its type
+        held = (TreeNode, tuple)
+        own = [type(v) if isinstance(v, held) else v for v in vars(self).values()]
+        return hash((type(self), *own))
+
+    def __repr__(self) -> str:
+        return "".join(unfold(self, _repr_parts))
+
+
+def _repr_parts(item: object) -> list:
+    """A node's repr as its dataclass writes it, or a tuple's, in strings and
+    the nodes and tuples still to write; other values are written by `repr`."""
+    if isinstance(item, tuple):
+        parts = [part for value in item for part in (", ", _shown(value))][1:]
+        return ["(", *parts, ",)" if len(item) == 1 else ")"]
+    parts = [f"{type(item).__qualname__}("]
+    for f in (f for f in fields(item) if f.repr):
+        parts += [", " * (len(parts) > 1) + f.name + "=", _shown(getattr(item, f.name))]
+    return parts + [")"]
+
+
+def _shown(value: object) -> object:
+    return value if isinstance(value, (TreeNode, tuple)) else repr(value)
+
+
+class _Node(TreeNode):
     """What every node shares: `height` counts nested iterates, `depth`
     nested concatenations and iterates, and `render` writes its text."""
 
@@ -95,14 +147,14 @@ class _Node:
         return "".join(unfold(self, _text))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Epsilon(_Node):
     """The empty word; evaluates to the identity."""
 
     word: LimitWord
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class Letter(_Node):
     """A single alphabet letter."""
 
@@ -114,7 +166,7 @@ class Letter(_Node):
 # which costs what the frozen fields alone did.
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Concat(_Node):
     """Sequential composition of two expressions."""
 
@@ -128,7 +180,7 @@ class Concat(_Node):
         vars(self).update(left=left, right=right, word=word, height=height, depth=depth)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Iterate(_Node):
     """The iterate of an idempotent expression."""
 

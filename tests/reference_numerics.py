@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Mapping, Optional
 
 from leaktight import oracle
-from leaktight.automaton import Automaton, Matrix, ScaledMatrix, identity_matrix
+from leaktight.automaton import Automaton, Matrix, ScaledMatrix
 from leaktight.errors import CapExceeded, ValidationError
 from leaktight.leaks import ExtendedClosure, find_leak_witness
 from leaktight.limitword import LimitWord
@@ -28,7 +28,6 @@ from leaktight.oracle import (
     FamilyPower,
     WordFamily,
     _free_parameters,
-    _merged_bindings,
     _resolve_exponent,
     reification_exponent,
 )
@@ -154,6 +153,10 @@ def letter_abstraction(automaton: "Automaton", letter: str) -> LimitWord:
 # Products, powers, steps and reification
 
 
+def identity_matrix(dim: int) -> Matrix:
+    return tuple(tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim))
+
+
 def matrix_product(left: Matrix, right: Matrix) -> Matrix:
     dim = len(left)
     cols = tuple(zip(*right))
@@ -205,6 +208,11 @@ def step(
     )
 
 
+def acceptance(automaton: Automaton, distribution: tuple[Fraction, ...]) -> Fraction:
+    """The probability mass of `distribution` on the final states."""
+    return sum((distribution[f] for f in automaton.final_indices), start=ZERO)
+
+
 def brute_force_value(
     automaton: Automaton, max_len: int, budget: int = DEFAULT_BUDGET
 ) -> Fraction:
@@ -212,7 +220,7 @@ def brute_force_value(
     if max_len < 0:
         raise ValidationError("max_len must be nonnegative")
     start = automaton.initial_distribution()
-    best = automaton.acceptance_of(start)
+    best = acceptance(automaton, start)
     seen = {start}
     frontier = [start]
     explored = 1
@@ -231,9 +239,9 @@ def brute_force_value(
                         f"budget exceeded: more than {budget} distributions"
                     )
                 seen.add(successor)
-                acceptance = automaton.acceptance_of(successor)
-                if acceptance > best:
-                    best = acceptance
+                value = acceptance(automaton, successor)
+                if value > best:
+                    best = value
                 next_frontier.append(successor)
         frontier = next_frontier
     return best
@@ -274,8 +282,7 @@ def evaluate_family_at(
     bindings: Optional[Mapping[str, int]] = None,
 ) -> Fraction:
     """Exact acceptance probability of one instantiation of the family."""
-    merged = _merged_bindings(family, bindings)
-    matrix = family_matrix(automaton, family.template, merged, {})
+    matrix = family_matrix(automaton, family.template, bindings or {}, {})
     row = matrix[automaton.state_index[automaton.initial]]
     return sum((row[f] for f in automaton.final_indices), start=ZERO)
 

@@ -114,12 +114,10 @@ def test_criterion_04_reduction_exactness() -> None:
 def test_criterion_05_gadget_closed_form() -> None:
     a = rnd3()
     g = third_simulation(a)
-    after_coin = g.step(g.initial_distribution(), "a")
+    start = g.state_index[g.initial]
     low, high = "0", "1"  # the two targets of rnd3's a-row at the initial state
     for rounds in (1, 2, 5):
-        d = after_coin
-        for _ in range(2 * rounds):
-            d = g.step(d, "sharp")
+        d = g.word_matrix(("a",) + ("sharp",) * (2 * rounds))[start]
         expected = F(1, 2) * (1 - F(5, 9) ** rounds)
         assert d[g.state_index[low]] == expected
         assert d[g.state_index[high]] == expected

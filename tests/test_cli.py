@@ -321,7 +321,7 @@ def test_stdin_input(tmp_path, capsys, monkeypatch) -> None:
     import io
 
     payload = json.dumps(automaton_to_json(fig3()))
-    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(payload.encode())))
     report = run_json(capsys, ["validate", "-"])
     assert report["valid"] is True
 
@@ -374,7 +374,8 @@ def test_malformed_documents_are_exit_1(capsys, monkeypatch) -> None:
         {"transitions": {"a": [[["p"], "p", "1"]]}},
     ):
         payload = json.dumps({**document, **change})
-        monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+        stdin = io.TextIOWrapper(io.BytesIO(payload.encode()))
+        monkeypatch.setattr(sys, "stdin", stdin)
         code = main(["validate", "-"])
         captured = capsys.readouterr()
         assert code == 1, change

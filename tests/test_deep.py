@@ -9,6 +9,7 @@ its closed form.
 from __future__ import annotations
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -39,9 +40,13 @@ DEPTH = 5000
 ONE = (((F(1),),),)
 
 
-def one_state() -> Automaton:
+def one_state(alphabet: tuple[str, ...] = ("a",)) -> Automaton:
     return Automaton(
-        states=("p",), alphabet=("a",), initial="p", final=frozenset({"p"}), matrices=ONE
+        states=("p",),
+        alphabet=alphabet,
+        initial="p",
+        final=frozenset({"p"}),
+        matrices=ONE * len(alphabet),
     )
 
 
@@ -133,6 +138,56 @@ def test_parse_and_evaluate_deep_template() -> None:
     assert evaluate_family_at(a, powers, {"n": 1}) == evaluate_family_at(
         a, parse_family("a"), {}
     )
+
+
+# ---------------------------------------------------------------------------
+# Equality, hashing and repr of nodes
+
+WORD = "LimitWord(dim=1, rows=(1,))"
+LEAF = f"Letter(name='a', word={WORD})"
+
+
+def test_deep_chain_compares_hashes_and_prints() -> None:
+    automaton = one_state(("a", "b"))
+    expression = chain(automaton, DEPTH)
+    text = " ".join(["a"] * (DEPTH + 1))
+    copy = parse_expression(text, automaton)
+    assert expression == copy and hash(expression) == hash(copy)
+    assert expression != parse_expression("b" + text[1:], automaton)
+    assert repr(expression) == (
+        "Concat(left=" * DEPTH + LEAF + f", right={LEAF}, word={WORD})" * DEPTH
+    )
+
+
+def test_deep_nest_compares_hashes_and_prints() -> None:
+    automaton = one_state(("a", "b"))
+    expression = nest(letter_expr(automaton, "a"), DEPTH)
+    text = "(" * DEPTH + "a" + ")#" * DEPTH
+    copy = parse_expression(text, automaton)
+    assert expression == copy and hash(expression) == hash(copy)
+    assert expression != parse_expression(text.replace("a", "b"), automaton)
+    assert repr(expression) == "Iterate(child=" * DEPTH + LEAF + f", word={WORD})" * DEPTH
+
+
+def test_deep_template_compares_hashes_and_prints() -> None:
+    text = "(" * DEPTH + "a" + ")^n" * DEPTH
+    family, copy = parse_family(text), parse_family(text)
+    assert family == copy and hash(family) == hash(copy)
+    assert family != parse_family(text.replace("a", "b"))
+    assert repr(family.template) == (
+        "FamilyPower(base=" * DEPTH + "FamilyAtom(letter='a')" + ", exponent='n')" * DEPTH
+    )
+
+
+def test_copies_of_a_shared_dag_compare_once_per_node() -> None:
+    automaton = one_state(("a", "b"))
+    x, y, z = (letter_expr(automaton, name) for name in "aab")
+    for _ in range(64):  # 2^64 leaves each, 65 distinct nodes
+        x, y, z = concat_expr(x, x), concat_expr(y, y), concat_expr(z, z)
+    started = time.perf_counter()
+    assert x == y and hash(x) == hash(y)
+    assert x != z
+    assert time.perf_counter() - started < 0.5
 
 
 # ---------------------------------------------------------------------------

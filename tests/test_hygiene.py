@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
-every name a module lists in `__all__` is bound in it, the saturation
-reference in `tests/` shares no engine code with the package, and the
-numeric reference reaches none of the scaled arithmetic it checks."""
+every name a module lists in `__all__` is bound in it, the package imports
+exactly the names it lists, each from its module's `__all__`, the
+saturation reference in `tests/` shares no engine code with the package,
+and the numeric reference reaches none of the scaled arithmetic it checks."""
 
 from __future__ import annotations
 
@@ -69,6 +70,23 @@ def test_every_exported_name_is_bound(path: Path) -> None:
     assert not unbound, f"{path.name}: __all__ lists unbound names {unbound}"
 
 
+def test_package_imports_exactly_its_public_names() -> None:
+    path = PACKAGE / "__init__.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    exported = importlib.import_module("leaktight").__all__
+    assert sorted(imported_names(tree)) == sorted(exported)
+    unlisted = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = importlib.import_module(f"leaktight.{node.module}")
+            unlisted += [
+                f"{alias.name} from .{node.module}"
+                for alias in node.names
+                if alias.name not in getattr(module, "__all__", ())
+            ]
+    assert not unlisted, "not in their module's __all__: " + ", ".join(unlisted)
+
+
 REFERENCE = Path(__file__).resolve().parent / "reference_saturation.py"
 
 # What the saturation reference may take from the closure modules: the cap,
@@ -112,7 +130,7 @@ NUMERIC_REFERENCE = Path(__file__).resolve().parent / "reference_numerics.py"
 # What the numeric reference may take from `leaktight.automaton`: the model
 # and its matrix types.  No product, power, step, scaling or reduction, so
 # no reference can call the fast path it checks.
-NUMERIC_REFERENCE_MAY_IMPORT = {"Automaton", "Matrix", "ScaledMatrix", "identity_matrix"}
+NUMERIC_REFERENCE_MAY_IMPORT = {"Automaton", "Matrix", "ScaledMatrix"}
 
 
 def test_numeric_reference_stays_independent_of_the_fast_path() -> None:

@@ -27,8 +27,8 @@ from .helpers import automata, corpus, seeded_closure, seeded_extended
 
 
 def test_pair_requires_word_below_support() -> None:
-    word = LimitWord.from_sets(2, [{0, 1}, {1}])
-    support = LimitWord.from_sets(2, [{0}, {1}])
+    word = LimitWord(2, (0b11, 0b10))
+    support = LimitWord(2, (0b01, 0b10))
     with pytest.raises(ValidationError, match="missing from the support"):
         ExtendedLimitWord(word=word, support=support)
 
@@ -58,12 +58,12 @@ def test_pair_iterate_touches_only_word() -> None:
 
 
 def test_pair_idempotent_requires_both_components() -> None:
-    word = LimitWord.from_sets(2, [{1}, {1}])
-    support = LimitWord.from_sets(2, [{0, 1}, {0, 1}])
+    word = LimitWord(2, (0b10, 0b10))
+    support = LimitWord(2, (0b11, 0b11))
     mixed = ExtendedLimitWord(word=word, support=support)
     assert word.is_idempotent() and support.is_idempotent()
     assert mixed.is_idempotent()
-    swap = LimitWord.from_sets(2, [{1}, {0}])
+    swap = LimitWord(2, (0b10, 0b01))
     assert not ExtendedLimitWord(word=swap, support=swap).is_idempotent()
 
 
@@ -114,9 +114,8 @@ def test_projection_property_on_corpus() -> None:
 def test_word_below_support_on_corpus() -> None:
     for seed in range(60):
         for pair in seeded_extended(seed).elements:
-            for s in range(pair.word.dim):
-                for t in pair.word.successors(s):
-                    assert (s, t) in pair.support
+            for word_row, support_row in zip(pair.word.rows, pair.support.rows):
+                assert word_row & ~support_row == 0
 
 
 # ---------------------------------------------------------------------------

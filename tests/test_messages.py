@@ -290,13 +290,36 @@ def test_cli_prints_the_first_document_error(
 ) -> None:
     document, message = DOCUMENTS[name]
     if source == "stdin":
-        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(document)))
+        stdin = io.TextIOWrapper(io.BytesIO(json.dumps(document).encode()))
+        monkeypatch.setattr(sys, "stdin", stdin)
         argv = ["validate", "-"]
     else:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(document), encoding="utf-8")
         argv = ["validate", str(path)]
     assert run(argv, capsys) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("source", ["stdin", "file"])
+def test_bytes_that_are_not_utf8_are_pinned(
+    capsys, monkeypatch, tmp_path, source: str
+) -> None:
+    # A state name holding the byte 0xff: standard input is decoded as a file is.
+    data = b'{"states": ["p\xff"], "alphabet": ["a"], "initial": "p\xff", "final": [],'
+    data += b' "transitions": {"a": [["p\xff", "p\xff", "1"]]}}'
+    if source == "stdin":
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        path = "-"
+    else:
+        file = tmp_path / "latin1.json"
+        file.write_bytes(data)
+        path = str(file)
+    assert run(["validate", path], capsys) == (
+        1,
+        "",
+        f"error: cannot read {path}: 'utf-8' codec can't decode byte 0xff "
+        "in position 14: invalid start byte\n",
+    )
 
 
 def test_syntax_error_position_is_pinned(capsys, tmp_path) -> None:

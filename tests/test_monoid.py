@@ -48,7 +48,7 @@ def test_fig3_closure_golden() -> None:
 def test_det1_closure_is_identity_only() -> None:
     closure = markov_monoid(det1())
     assert len(closure.elements) == 1
-    assert closure.elements[0].is_identity()
+    assert closure.elements[0] == LimitWord.identity(len(det1().states))
     assert closure.max_height == 0
 
 
@@ -96,7 +96,7 @@ def test_sink_has_no_witness() -> None:
 def test_det1_witness_is_identity() -> None:
     closure = markov_monoid(det1())
     witness = find_value1_witness(closure)
-    assert witness is not None and witness.is_identity()
+    assert witness == LimitWord.identity(len(det1().states))
 
 
 def test_decide_value1_fig3() -> None:
@@ -188,7 +188,7 @@ def test_j_leq_reflexive_and_golden() -> None:
 
 def test_j_leq_membership_errors() -> None:
     closure = markov_monoid(fig3())
-    foreign = LimitWord.from_sets(2, [{1}, {0}])
+    foreign = LimitWord(2, (0b10, 0b01))
     with pytest.raises(ValidationError, match="membership violation"):
         j_leq(foreign, closure.elements[0], closure)
     with pytest.raises(ValidationError, match="membership violation"):

@@ -198,7 +198,7 @@ def test_consistency_failure_is_reported_not_raised() -> None:
     a = fig3()
     closure = markov_monoid(a)
     expr = closure.provenance[letter_expr(a, "b").word]
-    fake = LimitWord.from_sets(2, [{1}, {0}])
+    fake = LimitWord(2, (0b10, 0b01))
     bad = closure_record(a, (fake,), {fake: expr}, {fake: 0})
     reports = check_consistency(a, bad, n=12)
     assert len(reports) == 1

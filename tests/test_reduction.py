@@ -226,11 +226,9 @@ def test_third_simulation_entries_and_alphabet() -> None:
 def test_third_gadget_decision_probabilities() -> None:
     a = rnd3()
     g = third_simulation(a)
-    distribution = g.step(g.initial_distribution(), "a")
+    start = g.state_index[g.initial]
     for rounds, expected in ((1, F(2, 9)), (2, F(28, 81)), (5, F(27962, 59049))):
-        d = distribution
-        for _ in range(2 * rounds):
-            d = g.step(d, "sharp")
+        d = g.word_matrix(("a",) + ("sharp",) * (2 * rounds))[start]
         assert d[g.state_index["0"]] == expected
         assert d[g.state_index["1"]] == expected
 

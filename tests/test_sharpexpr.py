@@ -50,7 +50,7 @@ def test_letter_expression() -> None:
     expr = letter_expr(a, "a")
     assert isinstance(expr, Letter)
     assert expr.render() == "a"
-    assert expr.word.successors(0) == (0, 1)
+    assert expr.word.rows[0] == 0b11
     with pytest.raises(ValidationError):
         letter_expr(a, "zz")
 
