@@ -268,11 +268,17 @@ class Automaton:
 
     @cached_property
     def min_transition_probability(self) -> Fraction:
-        """The smallest strictly positive entry over all letter matrices (p_min)."""
-        return min(
-            Fraction(min(x for row in rows for x in row if x), denominator)
-            for rows, denominator in self._scaled_letters
-        )
+        """The smallest strictly positive entry over all letter matrices (p_min).
+
+        Each letter's least positive numerator is compared, over its
+        denominator, by cross-multiplication; one `Fraction` is built.
+        """
+        least, least_den = 1, 1
+        for rows, denominator in self._scaled_letters:
+            x = min(filter(None, chain.from_iterable(rows)))
+            if x * least_den < least * denominator:
+                least, least_den = x, denominator
+        return Fraction(least, least_den)
 
     @cached_property
     def _sparse_letters(self) -> tuple[tuple[_SparseRows, int], ...]:

@@ -14,7 +14,7 @@ from typing import Optional
 from .automaton import Automaton
 from .errors import ValidationError
 from .limitword import LimitWord
-from .monoid import DEFAULT_CAP, Closure, MonoidClosure, _row_major, saturate
+from .monoid import DEFAULT_CAP, Closure, MonoidClosure, _least_row_major, saturate
 from .sharpexpr import SharpExpression
 
 __all__ = [
@@ -145,7 +145,7 @@ def find_leak_witness(closure: ExtendedClosure) -> Optional[LeakWitness]:
         return None
     bits = 2 * len(closure.automaton.states) ** 2
     keys = saturation.keys
-    i = min(saturation.leaks, key=lambda j: _row_major(keys[j], bits))
+    i = _least_row_major(saturation.leaks, keys, bits)
     pair = ExtendedLimitWord(*saturation.words(i))
     word, support = pair.word, pair.support
     r, q = next(

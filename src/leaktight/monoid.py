@@ -562,26 +562,39 @@ def find_value1_witness(closure: MonoidClosure) -> Optional[LimitWord]:
 
     The witness is found on the keys' word bits, and only it is decoded.
     """
+    i = _value1_witness_index(closure)
+    return None if i is None else closure._saturation.words(i)[0]
+
+
+def _value1_witness_index(closure: MonoidClosure) -> Optional[int]:
+    """The saturation index of the least witness in row-major bit order,
+    or None."""
     saturation, automaton = closure._saturation, closure.automaton
     n = len(automaton.states)
     start = automaton.state_index[automaton.initial] * n
     outside = ((1 << n) - 1) & ~_final_mask(automaton)
     keys = saturation.keys
     found = [i for i in closure._indices if not keys[i] >> start & outside]
-    if not found:
-        return None
-    bits = n * n
-    return saturation.words(min(found, key=lambda i: _row_major(keys[i], bits)))[0]
+    return _least_row_major(found, keys, n * n) if found else None
 
 
-def _row_major(key: int, bits: int) -> int:
-    """The key's low `bits` bits as an int in row-major bit order.
+def _least_row_major(indices: Sequence[int], keys: Sequence[int], bits: int) -> int:
+    """The first of `indices` whose key's low `bits` bits are least in
+    row-major bit order.
 
     Row-major bit order, the order of `LimitWord.sort_key` and of
-    `ExtendedLimitWord.sort_key`, reads the bits from bit 0 up, so it is
-    the order of the bits reversed: bit 0 becomes the most significant.
+    `ExtendedLimitWord.sort_key`, reads the bits from bit 0 up, so of two
+    keys the one with a 0 at their lowest differing bit is the smaller.
     """
-    return int(f"{key & ((1 << bits) - 1):0{bits}b}"[::-1], 2)
+    mask = (1 << bits) - 1
+    best = indices[0]
+    least = keys[best] & mask
+    for i in indices[1:]:
+        key = keys[i] & mask
+        diff = key ^ least
+        if least & diff & -diff:  # the lowest differing bit is set in `least`
+            best, least = i, key
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -655,12 +668,15 @@ def decide_value1(automaton: Automaton, cap: int = DEFAULT_CAP) -> Value1Report:
     leak = decide_leaktight(automaton, cap)
     # Derived, not saturated; by name, so wrappers of markov_monoid see it.
     closure = markov_monoid(leak.closure)
-    element = find_value1_witness(closure)
-    if element is not None:
+    i = _value1_witness_index(closure)
+    if i is not None:
+        saturation = closure._saturation
+        element = saturation.words(i)[0]
         certificate = Certificate(
-            kind="value1", witness=closure.expression(element), element=element
+            kind="value1", witness=saturation.expression(i), element=element
         )
     else:
+        element = None
         certificate = Certificate(
             kind="no-witness",
             bound=UpperBound(
@@ -705,8 +721,8 @@ def bounded_witness_search(
         closure = MonoidClosure(saturate(automaton, 1, cap, bound))
     except CapExceeded:
         raise CapExceeded(f"witness search exceeded cap of {cap} elements") from None
-    element = find_value1_witness(closure)
-    return None if element is None else closure.expression(element)
+    i = _value1_witness_index(closure)
+    return None if i is None else closure._saturation.expression(i)
 
 
 # ---------------------------------------------------------------------------

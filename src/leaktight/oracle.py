@@ -10,9 +10,11 @@ a closure's provenance shares each node among the elements built on it, so
 identity finds every repeat without hashing a tree.  The memo holds each
 node it keys, so no id is reused while the memo lives.  Both checks decide
 on the reified word's scaled matrix, comparing int numerators against
-their thresholds: a consistency report decides its verdict when it is
-built and makes its per-entry `EntryCheck`s only when they are read; a
-lower-bound report holds one `EntryCheck` per claimed edge.
+their thresholds.  `check_consistency` checks the two thresholds on their
+numerators and denominators, scales them to each matrix's denominator, and
+decides each element's verdict in one loop that stops at the first failing
+entry; its report makes the per-entry `EntryCheck`s only when they are
+read.  A lower-bound report holds one `EntryCheck` per claimed edge.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .automaton import (
     Automaton,
@@ -468,12 +470,11 @@ class EntryCheck:
 class ReificationReport:
     """Thresholded comparison of one element against its reified expression.
 
-    `matrix` is the exact scaled matrix of the reified word.  The verdict
-    `ok` is decided on ints when the report is built, row by row up to the
-    first failing entry: every entry claimed 0 is at most `zero_eps` and
-    every entry claimed 1 at least `one_delta`.
-    The per-entry `EntryCheck`s, row-major, are built when `entries` is
-    first read.
+    `matrix` is the exact scaled matrix of the reified word, and `ok` the
+    verdict `check_consistency` decided on it: every entry claimed 0 is at
+    most `zero_eps` and every entry claimed 1 at least `one_delta`.  The
+    per-entry `EntryCheck`s, row-major, are built when `entries` is first
+    read, by the same integer rule as the verdict.
     """
 
     element: LimitWord
@@ -482,49 +483,67 @@ class ReificationReport:
     matrix: ScaledMatrix
     zero_eps: Fraction
     one_delta: Fraction
-    ok: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        rows = self.matrix[0]
-        dim = self.element.dim
-        if len(rows) != dim or any(len(row) != dim for row in rows):
-            raise ValidationError("report must cover every state pair")
-        object.__setattr__(self, "ok", next(self._failures(), None) is None)
-
-    def _failures(self) -> Iterator[tuple[int, int]]:
-        """(s, t) of each entry that fails its threshold, row-major, on ints."""
-        rows, denominator = self.matrix
-        eps, delta = self.zero_eps, self.one_delta
-        # measured = x / denominator is at most zero_eps iff x ≤ zero_max,
-        # and at least one_delta iff x ≥ one_min.
-        zero_max = eps.numerator * denominator // eps.denominator
-        one_min = -(-delta.numerator * denominator // delta.denominator)
-        for s, (bits, row) in enumerate(zip(self.element.rows, rows)):
-            for t, x in enumerate(row):
-                if x < one_min if bits >> t & 1 else x > zero_max:
-                    yield s, t
+    ok: bool
 
     @functools.cached_property
     def entries(self) -> tuple[EntryCheck, ...]:
         rows, denominator = self.matrix
-        failures = set(self._failures())
-        return tuple(
-            EntryCheck(s, t, bits >> t & 1, x, denominator, (s, t) not in failures)
-            for s, (bits, row) in enumerate(zip(self.element.rows, rows))
-            for t, x in enumerate(row)
+        eps, delta = self.zero_eps, self.one_delta
+        zero_max, one_min = _bounds(
+            eps.numerator, eps.denominator, delta.numerator, delta.denominator, denominator
         )
+        checks = []
+        for s, (bits, row) in enumerate(zip(self.element.rows, rows)):
+            for t, x in enumerate(row):
+                claimed = bits >> t & 1
+                ok = x >= one_min if claimed else x <= zero_max
+                checks.append(EntryCheck(s, t, claimed, x, denominator, ok))
+        return tuple(checks)
 
     @property
     def status(self) -> str:
         return "pass" if self.ok else f"inconclusive at n={self.n}"
 
 
-def validate_thresholds(zero_eps: Fraction, one_delta: Fraction) -> None:
-    """Require 0 ≤ zero_eps < 1 and 0 < one_delta ≤ 1."""
-    if not 0 <= zero_eps < 1:
+def _bounds(e: int, f: int, d: int, g: int, denominator: int) -> tuple[int, int]:
+    """The threshold rule on ints: with zero_eps = e/f and one_delta = d/g,
+    measured = x / denominator is at most zero_eps iff x ≤ zero_max, and at
+    least one_delta iff x ≥ one_min; returns (zero_max, one_min)."""
+    return e * denominator // f, -(-d * denominator // g)
+
+
+def _passes(claims: tuple[int, ...], rows: tuple, zero_max: int, one_min: int) -> bool:
+    """Whether every entry meets its bound, row by row up to the first that
+    fails; bit t of `claims[s]` is the claim on entry (s, t)."""
+    for bits, row in zip(claims, rows):
+        for t, x in enumerate(row):
+            if x < one_min if bits >> t & 1 else x > zero_max:
+                return False
+    return True
+
+
+def validate_thresholds(
+    zero_eps: Fraction, one_delta: Fraction
+) -> tuple[int, int, int, int]:
+    """Require 0 ≤ zero_eps < 1 and 0 < one_delta ≤ 1, checked on ints, and
+    return zero_eps = e/f and one_delta = d/g as (e, f, d, g), reduced, with
+    f and g positive."""
+    e, f = _ratio(zero_eps)
+    if not 0 <= e < f:
         raise ValidationError(f"zero_eps must be in [0, 1), got {zero_eps}")
-    if not 0 < one_delta <= 1:
+    d, g = _ratio(one_delta)
+    if not 0 < d <= g:
         raise ValidationError(f"one_delta must be in (0, 1], got {one_delta}")
+    return e, f, d, g
+
+
+def _ratio(value) -> tuple[int, int]:
+    """An exact number as a reduced (numerator, positive denominator); a NaN
+    or an infinity as -1/1, which is in neither threshold's range."""
+    try:
+        return value.as_integer_ratio()
+    except (ValueError, OverflowError):
+        return -1, 1
 
 
 def check_consistency(
@@ -541,22 +560,33 @@ def check_consistency(
     probability ≤ zero_eps and entries claimed 1 must have measured
     probability ≥ one_delta.  A failing report means the check was
     inconclusive at this n, not that the claim is refuted.  The thresholds
-    must satisfy 0 ≤ zero_eps < 1 and 0 < one_delta ≤ 1.
+    must satisfy 0 ≤ zero_eps < 1 and 0 < one_delta ≤ 1, and every element
+    must have the automaton's dimension.  Each verdict is decided on ints:
+    both thresholds are scaled to the matrix's denominator once, and the
+    entries are read up to the first that fails.
     """
-    validate_thresholds(zero_eps, one_delta)
-    eps, delta = Fraction(zero_eps), Fraction(one_delta)
+    e, f, d, g = validate_thresholds(zero_eps, one_delta)
+    eps = zero_eps if type(zero_eps) is Fraction else Fraction(e, f)
+    delta = one_delta if type(one_delta) is Fraction else Fraction(d, g)
+    dim = len(automaton.states)
     evaluate = _scaled_evaluator(automaton, n, {})
-    reports = []
+    provenance, reports = closure.provenance, []
     for element in closure.elements:
-        expression = closure.provenance[element]
+        expression = provenance[element]
+        matrix = evaluate(expression)
+        if element.dim != dim:
+            raise ValidationError("report must cover every state pair")
+        rows, denominator = matrix
+        zero_max, one_min = _bounds(e, f, d, g, denominator)
         reports.append(
             ReificationReport(
                 element=element,
                 expression=expression,
                 n=n,
-                matrix=evaluate(expression),
+                matrix=matrix,
                 zero_eps=eps,
                 one_delta=delta,
+                ok=_passes(element.rows, rows, zero_max, one_min),
             )
         )
     return reports

@@ -120,6 +120,62 @@ class TreeNode:
     def __repr__(self) -> str:
         return "".join(unfold(self, _repr_parts))
 
+    def __reduce__(self) -> tuple:
+        """`pickle` and `copy.deepcopy` get the tree written out flat by
+        `fold`: one record per distinct node, children first, of its class,
+        its field values with each child node as the index of its record,
+        and the positions of those fields.  `_rebuild` builds each node
+        once, so subtrees shared within the tree stay shared."""
+        records: list = []
+        memo: dict = {}
+
+        def record(node: TreeNode, _: list) -> int:
+            values, links = _field_values(node), []
+            for k, value in enumerate(values):
+                if isinstance(value, TreeNode):
+                    values[k] = memo[id(value)][1]
+                elif _is_node_tuple(value):
+                    values[k] = tuple(memo[id(child)][1] for child in value)
+                else:
+                    continue
+                links.append(k)
+            records.append((type(node), tuple(values), tuple(links)))
+            return len(records) - 1
+
+        fold(self, _child_nodes, record, memo)
+        return _rebuild, (records,)
+
+
+def _field_values(node: TreeNode) -> list:
+    return [getattr(node, f.name) for f in fields(node)]
+
+
+def _is_node_tuple(value: object) -> bool:
+    return type(value) is tuple and all(isinstance(v, TreeNode) for v in value)
+
+
+def _child_nodes(node: TreeNode) -> list:
+    """The nodes a node's fields hold, alone or in a tuple, in field order."""
+    children = []
+    for value in _field_values(node):
+        if isinstance(value, TreeNode):
+            children.append(value)
+        elif _is_node_tuple(value):
+            children += value
+    return children
+
+
+def _rebuild(records: list) -> TreeNode:
+    """The tree `TreeNode.__reduce__` wrote out: its last record's node."""
+    nodes: list = []
+    for cls, values, links in records:
+        values = list(values)
+        for k in links:
+            link = values[k]
+            values[k] = nodes[link] if type(link) is int else tuple(map(nodes.__getitem__, link))
+        nodes.append(cls(*values))
+    return nodes[-1]
+
 
 def _repr_parts(item: object) -> list:
     """A node's repr as its dataclass writes it, or a tuple's, in strings and

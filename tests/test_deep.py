@@ -8,7 +8,9 @@ its closed form.
 
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import time
 from fractions import Fraction as F
 
@@ -17,6 +19,7 @@ import pytest
 from leaktight import (
     Automaton,
     CapExceeded,
+    Concat,
     LimitWord,
     automaton_to_json,
     check_lower_bound,
@@ -188,6 +191,56 @@ def test_copies_of_a_shared_dag_compare_once_per_node() -> None:
     assert x == y and hash(x) == hash(y)
     assert x != z
     assert time.perf_counter() - started < 0.5
+
+
+# ---------------------------------------------------------------------------
+# Pickle and deep copy
+
+
+def pickled(node):
+    return pickle.loads(pickle.dumps(node))
+
+
+def deep_chain():
+    return chain(one_state(), DEPTH)
+
+
+def deep_nest():
+    return nest(letter_expr(one_state(), "a"), DEPTH)
+
+
+def deep_template():
+    return parse_family("(" * DEPTH + "a" + ")^n" * DEPTH).template
+
+
+@pytest.mark.parametrize("round_trip", [pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+@pytest.mark.parametrize("build", [deep_chain, deep_nest, deep_template])
+def test_deep_nodes_survive_a_round_trip(build, round_trip) -> None:
+    tree = build()
+    twin = round_trip(tree)
+    assert twin is not tree and twin == tree and hash(twin) == hash(tree)
+    assert repr(twin) == repr(tree)
+
+
+@pytest.mark.parametrize("round_trip", [pickled, copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_round_trips_keep_shared_subtrees_shared(round_trip) -> None:
+    # `chain` puts one leaf node on the right of every concatenation.
+    twin = round_trip(deep_chain())
+    spine = [twin]
+    while isinstance(spine[-1], Concat):
+        spine.append(spine[-1].left)
+    assert len(spine) == DEPTH + 1
+    assert len({id(node.right) for node in spine[:-1]} | {id(spine[-1])}) == 1
+    assert (twin.depth, twin.height) == (DEPTH, 0)
+    # 65 distinct nodes standing for 2^64 leaves.
+    x = letter_expr(one_state(), "a")
+    for _ in range(64):
+        x = concat_expr(x, x)
+    twin = node = round_trip(x)
+    while isinstance(node, Concat):
+        assert node.left is node.right
+        node = node.left
+    assert twin == x and twin.depth == 64 and node.render() == "a"
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import random
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from leaktight import (
     Automaton,
     CapExceeded,
+    LimitWord,
     ValidationError,
     brute_force_value,
     check_consistency,
@@ -62,6 +64,7 @@ from .helpers import (
     seeded_extended,
     words_over,
 )
+from .reference_saturation import closure_record
 from .test_saturation import SCALING, scaling_automaton
 
 ZOO = {
@@ -111,6 +114,110 @@ def test_consistency_matches_reference_at_n6(seeds) -> None:
         assert _measured(check_consistency(a, closure, n=6)) == (
             ref.consistency_entries(a, closure, 6)
         ), seed
+
+
+def _verdicts(reports) -> list[tuple]:
+    """Each report's verdict with its entries."""
+    return [(report.ok, entries) for report, entries in zip(reports, _measured(reports))]
+
+
+def _reference_verdicts(a, closure, n, zero_eps, one_delta) -> list[tuple]:
+    entries = ref.consistency_entries(a, closure, n, F(zero_eps), F(one_delta))
+    return [(all(entry[4] for entry in report), report) for report in entries]
+
+
+def _measured_thresholds(reference) -> list[tuple[F, F]]:
+    """Threshold pairs taken from measured entries: the least, a middle and
+    the greatest value below 1 measured on an entry claimed 0, each paired
+    with the greatest, a middle and the least positive value on one
+    claimed 1."""
+    zeros = sorted({m for report in reference for _, _, c, m, _ in report if not c and m < 1})
+    ones = sorted({m for report in reference for _, _, c, m, _ in report if c and m})
+
+    def spread(values: list[F]) -> list[F]:
+        return [values[0], values[len(values) // 2], values[-1]]
+
+    return list(zip(spread(zeros), spread(ones[::-1]))) if zeros and ones else []
+
+
+def test_consistency_verdicts_match_reference_at_measured_thresholds() -> None:
+    # A threshold equal to a measured entry puts `≤` or `≥` on equality.
+    met = 0
+    for seed in range(0, 500, 10):
+        a, closure = seeded_automaton(seed), seeded_closure(seed)
+        reference = ref.consistency_entries(a, closure, 3)
+        for zero_eps, one_delta in _measured_thresholds(reference):
+            reports = check_consistency(a, closure, 3, zero_eps, one_delta)
+            assert _verdicts(reports) == _reference_verdicts(
+                a, closure, 3, zero_eps, one_delta
+            ), (seed, zero_eps, one_delta)
+            met += sum(
+                entry.measured == (one_delta if entry.claimed else zero_eps)
+                for report in reports
+                for entry in report.entries
+            )
+    assert met > 100
+
+
+@pytest.mark.parametrize(
+    "zero_eps, one_delta",
+    [
+        (F(0), F(1)),
+        (0, 1),
+        (Decimal("0.001"), Decimal("0.01")),
+        (Decimal("0.25"), 1),
+    ],
+    ids=["fractions-0-1", "ints-0-1", "decimals-default", "decimal-and-int"],
+)
+def test_consistency_verdicts_match_reference_at_extreme_and_other_types(
+    zero_eps, one_delta
+) -> None:
+    for seed in (*range(0, 500, 25), 265):
+        a, closure = seeded_automaton(seed), seeded_closure(seed)
+        reports = check_consistency(a, closure, 3, zero_eps, one_delta)
+        assert _verdicts(reports) == _reference_verdicts(
+            a, closure, 3, zero_eps, one_delta
+        ), seed
+        for report in reports:
+            assert type(report.zero_eps) is F and report.zero_eps == zero_eps
+            assert type(report.one_delta) is F and report.one_delta == one_delta
+
+
+@pytest.mark.parametrize(
+    "zero_eps, one_delta, message",
+    [
+        (1, F(1, 100), "zero_eps must be in [0, 1), got 1"),
+        (-1, F(1, 100), "zero_eps must be in [0, 1), got -1"),
+        (Decimal("1.000"), F(1, 100), "zero_eps must be in [0, 1), got 1.000"),
+        (Decimal("-0.5"), F(1, 100), "zero_eps must be in [0, 1), got -0.5"),
+        (F(1, 1000), 0, "one_delta must be in (0, 1], got 0"),
+        (F(1, 1000), 2, "one_delta must be in (0, 1], got 2"),
+        (F(1, 1000), Decimal("0.0"), "one_delta must be in (0, 1], got 0.0"),
+        (F(1, 1000), Decimal("1.01"), "one_delta must be in (0, 1], got 1.01"),
+        (F(1, 1000), F(3, 2), "one_delta must be in (0, 1], got 3/2"),
+    ],
+)
+def test_threshold_messages_print_the_callers_value(
+    zero_eps, one_delta, message
+) -> None:
+    a = seeded_automaton(0)
+    for check in (
+        lambda: oracle.validate_thresholds(zero_eps, one_delta),
+        lambda: check_consistency(a, seeded_closure(0), 3, zero_eps, one_delta),
+    ):
+        with pytest.raises(ValidationError) as raised:
+            check()
+        assert str(raised.value) == message
+
+
+def test_consistency_rejects_an_element_of_another_dimension() -> None:
+    a, closure = seeded_automaton(0), seeded_closure(0)
+    dim = len(a.states)
+    element = LimitWord.identity(dim + 1)
+    expression = closure.provenance[closure.elements[-1]]
+    foreign = closure_record(a, (element,), {element: expression}, {element: 0})
+    with pytest.raises(ValidationError, match="^report must cover every state pair$"):
+        check_consistency(a, foreign, 3)
 
 
 def _lower_bound(reports) -> list[tuple]:
