@@ -7,7 +7,8 @@ is no floating point anywhere in the model.
 Products, powers and distribution steps are computed on a scaled form: a
 matrix (or distribution) is a tuple of int numerators over one common
 denominator, reduced once per product or step: by the lowest set bit when
-the denominator is a power of two, by a single `math.gcd` otherwise.  The
+the denominator is a power of two, by a single `math.gcd` otherwise.  A
+step, or a product by a letter, runs over the letter's nonzero entries.  The
 reduced form is unique, so it can be compared and hashed as it is.  The
 `Fraction` functions convert at the boundary.  Each automaton builds the
 scaled form of its letters once, at construction, and validates the
@@ -60,8 +61,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _reduced(entries: Sequence[int], denominator: int) -> tuple[tuple[int, ...], int]:
-    """`entries` over `denominator`, divided by the gcd of all of them.
+def _divisor(entries: Iterable[int], denominator: int) -> int:
+    """The gcd of `denominator` and all `entries`.
 
     The gcd of a power-of-two denominator with the entries is a power of
     two, the lowest set bit of their bitwise or; finding it costs time
@@ -69,13 +70,25 @@ def _reduced(entries: Sequence[int], denominator: int) -> tuple[tuple[int, ...],
     the long denominators that powers of dyadic matrices reach.
     """
     if denominator & (denominator - 1):
-        g = math.gcd(denominator, *entries)
-    else:
-        low = reduce(or_, entries, denominator)
-        g = low & -low
+        return math.gcd(denominator, *entries)
+    low = reduce(or_, entries, denominator)
+    return low & -low
+
+
+def _reduced(entries: Sequence[int], denominator: int) -> tuple[tuple[int, ...], int]:
+    """`entries` over `denominator`, divided by the gcd of all of them."""
+    g = _divisor(entries, denominator)
     if g == 1:
         return tuple(entries), denominator
     return tuple(x // g for x in entries), denominator // g
+
+
+def _reduced_rows(rows: list[list[int]], denominator: int) -> ScaledMatrix:
+    """`rows` over `denominator`, divided by the gcd of all of them."""
+    g = _divisor(chain.from_iterable(rows), denominator)
+    if g == 1:
+        return tuple(map(tuple, rows)), denominator
+    return tuple(tuple([x // g for x in row]) for row in rows), denominator // g
 
 
 def scale_vector(entries: Sequence[Fraction]) -> ScaledVector:
@@ -104,14 +117,8 @@ def scaled_identity(dim: int) -> ScaledMatrix:
 def scaled_product(left: ScaledMatrix, right: ScaledMatrix) -> ScaledMatrix:
     (a, da), (b, db) = left, right
     cols = tuple(zip(*b))
-    entries, denominator = _reduced(
-        [sum(map(mul, row, col)) for row in a for col in cols], da * db
-    )
-    width = len(cols)
-    return (
-        tuple(entries[i * width : (i + 1) * width] for i in range(len(a))),
-        denominator,
-    )
+    products = [[sum(map(mul, row, col)) for col in cols] for row in a]
+    return _reduced_rows(products, da * db)
 
 
 # Largest denominator, in bits, that a squaring in `scaled_power` may reach.
@@ -320,6 +327,20 @@ class Automaton:
                 for t, p in row:
                     successor[t] += x * p
         return _reduced(successor, denominator * letter_denominator)
+
+    def scaled_after(self, matrix: ScaledMatrix, letter: str) -> ScaledMatrix:
+        """The scaled `matrix` times `letter`'s, over the letter's nonzero entries."""
+        rows, letter_denominator = self._sparse_letters[self._letter(letter)]
+        left, denominator = matrix
+        width, products = len(rows), []
+        for row in left:
+            product = [0] * width
+            for x, targets in zip(row, rows):
+                if x:
+                    for t, p in targets:
+                        product[t] += x * p
+            products.append(product)
+        return _reduced_rows(products, denominator * letter_denominator)
 
     def initial_distribution(self) -> tuple[Fraction, ...]:
         i = self.state_index[self.initial]

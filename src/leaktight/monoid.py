@@ -12,13 +12,15 @@ import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import compress, repeat
 from operator import lshift, mul, not_, or_
 from typing import (
     TYPE_CHECKING,
+    Callable,
     Generic,
     Iterable,
+    Iterator,
     Mapping,
     Optional,
     Sequence,
@@ -123,16 +125,21 @@ DEFAULT_CAP = 2**20
 # decoded on read.  A key is decoded to its limit words the first time it
 # is read, and a back-pointer becomes an expression node, after the nodes
 # of its subterms, the first time it or a term over it is read; each node
-# carries its element's word.  Both are memoised per saturation,
-# so every read returns the same objects, nothing is multiplied again, and
-# the iterates' idempotency preconditions are the slot-wise squares'
-# findings.  The decisions read what they need off the keys: the value-1
-# witness is found on the word bits, the leak witness among the marked
-# idempotents, and only the two witnesses are decoded.  The tests re-derive
-# every word, idempotent and leak with the scalar `LimitWord` operations.
+# carries its element's word.  Nodes are built by `Saturation.fold`, the
+# walk over back-pointers that the numeric checks take too.  Words and
+# nodes are memoised per saturation, so every read returns the same
+# objects, nothing is multiplied again, and the iterates' idempotency
+# preconditions are the slot-wise squares' findings.  The decisions read
+# what they need off the keys: the value-1 witness is found on the word
+# bits, the leak witness among the marked idempotents, and only the two
+# witnesses are decoded.  The tests re-derive every word, idempotent and
+# leak with the scalar `LimitWord` operations.
 
 # Most elements one wide-int pass packs; it bounds the memory of a pass.
 _SLOTS = 256
+
+# A value `Saturation.fold` computes per element.
+V = TypeVar("V")
 
 
 @cache
@@ -357,7 +364,11 @@ class Saturation:
     maps each key to its element.
     Nothing is decoded until it is read: `words` and `expression` decode
     one element, each at most once, so a node read early is the very node
-    a later read returns.
+    a later read returns.  `fold` is the one walk over back-pointers, on
+    an explicit stack, with a step per kind of back-pointer passed in:
+    `expression` is that walk with steps that build nodes, and the
+    oracle's checks walk it with steps that multiply matrices, so the
+    back-pointer format stays inside this module.
     """
 
     def __init__(
@@ -401,34 +412,71 @@ class Saturation:
     def expression(self, i: int) -> SharpExpression:
         """Element i's expression, built after its subterms; each node
         carries its element's first component."""
-        nodes, sources = self._nodes, self.sources
-        if nodes[i] is not None:
-            return nodes[i]
-        pending = [i]
+        return self.fold(
+            i, self._nodes, self._epsilon, self._letter, self._concat, self._iterate
+        )
+
+    def _epsilon(self, j: int) -> SharpExpression:
+        return Epsilon(self.words(j)[0])
+
+    def _letter(self, j: int, name: str) -> SharpExpression:
+        return Letter(name, self.words(j)[0])
+
+    def _concat(self, j: int, left, right, by: Optional[str]) -> SharpExpression:
+        return Concat(left, right, self.words(j)[0])
+
+    def _iterate(self, j: int, child: SharpExpression) -> SharpExpression:
+        return Iterate(child, self.words(j)[0])
+
+    def fold(
+        self,
+        i: int,
+        values: list,
+        identity: Callable[[int], V],
+        letter: Callable[[int, str], V],
+        product: Callable[[int, V, V, Optional[str]], V],
+        iterate: Callable[[int, V], V],
+    ) -> V:
+        """`values[i]`, where `values[j]` holds element j's value, or None
+        until it is computed.
+
+        The elements that i's back-pointers reach are computed first, on an
+        explicit stack, each left factor before its right: element j is
+        `identity(j)` for the identity, `letter(j, name)` for a letter,
+        `product(j, values[p], values[g], by)` for the product of p and the
+        generator g, where `by` is g's letter name or None when g is an
+        iterate, and `iterate(j, values[c])` for the iterate of c.  An
+        element is computed at most once per `values`.
+        """
+        if values[i] is not None:
+            return values[i]
+        sources, pending = self.sources, [i]
         while pending:
             j = pending[-1]
-            if nodes[j] is not None:
+            if values[j] is not None:
                 pending.pop()
                 continue
             source = sources[j]
-            if isinstance(source, tuple):
-                left, right = nodes[source[0]], nodes[source[1]]
+            if type(source) is tuple:
+                p, g = source
+                left, right = values[p], values[g]
                 if left is None or right is None:
-                    pending += [p for p in source if nodes[p] is None]
+                    pending += [x for x in (g, p) if values[x] is None]
                     continue
-                nodes[j] = Concat(left, right, self.words(j)[0])
-            elif isinstance(source, int):
-                child = nodes[source]
+                by = sources[g]
+                values[j] = product(j, left, right, by if type(by) is str else None)
+            elif type(source) is int:
+                child = values[source]
                 if child is None:
                     pending.append(source)
                     continue
-                nodes[j] = Iterate(child, self.words(j)[0])
+                values[j] = iterate(j, child)
             elif source is None:
-                nodes[j] = Epsilon(self.words(j)[0])
+                values[j] = identity(j)
             else:
-                nodes[j] = Letter(source, self.words(j)[0])
+                values[j] = letter(j, source)
             pending.pop()
-        return nodes[i]
+        return values[i]
 
     def key(self, words: Iterable[LimitWord]) -> int:
         """The key whose leading components are these words."""
@@ -450,9 +498,9 @@ class Closure(Generic[E]):
     iterate-nesting height in `heights`.  A closure is read off a
     `Saturation`: the saturation's elements at `indices` (all of them by
     default), ascending, where `lookup` maps the key of an element's
-    components to its index (by default the saturation's `index`).  The
-    three fields are decoded together, in discovery order, when one is
-    first read; `len`, `max_height` and `expression` decode nothing else.
+    components to its index (by default the saturation's `index`).  Each
+    field is decoded when it is first read, in discovery order; `len`,
+    `max_height`, `expression` and `walk` build neither of the two maps.
     """
 
     def __init__(
@@ -465,7 +513,6 @@ class Closure(Generic[E]):
         self._saturation = saturation
         self._indices = range(len(saturation)) if indices is None else indices
         self._lookup = saturation.index if lookup is None else lookup
-        self._fields: Optional[tuple] = None
 
     @staticmethod
     def _wrap(words: tuple[LimitWord, ...]) -> E:
@@ -477,27 +524,20 @@ class Closure(Generic[E]):
         """The components of an element that key it in `_lookup`."""
         raise NotImplementedError
 
-    def _read(self) -> tuple:
-        """The elements, provenance and heights, decoded on the first read."""
-        if self._fields is None:
-            saturation, indices = self._saturation, self._indices
-            elements = tuple(map(self._wrap, map(saturation.words, indices)))
-            provenance = dict(zip(elements, map(saturation.expression, indices)))
-            heights = dict(zip(elements, map(saturation.heights.__getitem__, indices)))
-            self._fields = elements, provenance, heights
-        return self._fields
-
-    @property
+    @cached_property
     def elements(self) -> tuple[E, ...]:
-        return self._read()[0]
+        saturation = self._saturation
+        return tuple(map(self._wrap, map(saturation.words, self._indices)))
 
-    @property
+    @cached_property
     def provenance(self) -> Mapping[E, SharpExpression]:
-        return self._read()[1]
+        expressions = map(self._saturation.expression, self._indices)
+        return dict(zip(self.elements, expressions))
 
-    @property
+    @cached_property
     def heights(self) -> Mapping[E, int]:
-        return self._read()[2]
+        heights = map(self._saturation.heights.__getitem__, self._indices)
+        return dict(zip(self.elements, heights))
 
     def __len__(self) -> int:
         return len(self._indices)
@@ -519,6 +559,24 @@ class Closure(Generic[E]):
         if i is None:
             raise KeyError(element)
         return saturation.expression(i)
+
+    def walk(
+        self,
+        identity: Callable[[int], V],
+        letter: Callable[[int, str], V],
+        product: Callable[[int, V, V, Optional[str]], V],
+        iterate: Callable[[int, V], V],
+    ) -> Iterator[tuple[E, SharpExpression, V]]:
+        """Each element in discovery order, with its expression and its
+        value, computed when the element is reached by `Saturation.fold`
+        over the back-pointers with these four steps; each value is
+        computed once per walk."""
+        saturation = self._saturation
+        values: list = [None] * len(saturation)
+        fold, expression = saturation.fold, saturation.expression
+        for i, element in zip(self._indices, self.elements):
+            value = fold(i, values, identity, letter, product, iterate)
+            yield element, expression(i), value
 
 
 class MonoidClosure(Closure[LimitWord]):

@@ -5,9 +5,15 @@ turned into concrete words (an iterate becomes a large power of its body) or
 evaluated directly as matrix products with memoized powers; the resulting
 probabilities are compared against the boolean claims of the limit words.
 
-The evaluator's memo is keyed by node identity, not by the expression tree:
-a closure's provenance shares each node among the elements built on it, so
-identity finds every repeat without hashing a tree.  The memo holds each
+`check_consistency` and `check_lower_bound` reify a closure on the
+back-pointers its saturation stores, not on its expressions: each saturated
+element is an earlier one times one generator, an iterate, a letter or the
+identity, so its matrix is one product (by the letter's nonzero entries
+when the generator is a letter), one power, or a letter's matrix, computed
+once per check in discovery order by `Closure.walk`.  Neither builds the
+closure's provenance or heights map, and each report carries the very node
+`provenance[element]` returns.  `expression_matrix` evaluates any
+expression node by node; its memo is keyed by node identity and holds each
 node it keys, so no id is reused while the memo lives.  Both checks decide
 on the reified word's scaled matrix, comparing int numerators against
 their thresholds.  `check_consistency` checks the two thresholds on their
@@ -25,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 from .automaton import (
     Automaton,
@@ -40,7 +46,7 @@ from .automaton import (
 from .errors import CapExceeded, ValidationError
 from .leaks import ExtendedClosure, ExtendedLimitWord, find_leak_witness
 from .limitword import LimitWord
-from .monoid import MonoidClosure
+from .monoid import Closure, MonoidClosure
 from .sharpexpr import Concat, Iterate, Letter, SharpExpression, TreeNode
 from .sharpexpr import fold, subterms, unfold
 
@@ -424,15 +430,9 @@ def expression_matrix(
     such as the results of two `parse_expression` calls, are each evaluated
     once; closure provenance shares its nodes, so there every repeat is found.
     """
-    table = {} if memo is None else memo.setdefault(n, {})
-    return unscale_matrix(_scaled_evaluator(automaton, n, table)(expression))
-
-
-def _scaled_evaluator(automaton: Automaton, n: int, table: dict) -> Callable:
-    """Evaluates an expression reified at n to its scaled matrix, each node
-    once, memoised in `table` by node identity."""
     if n < 1:
         raise ValidationError("n must be at least 1")
+    table = {} if memo is None else memo.setdefault(n, {})
 
     def matrix(node: SharpExpression, values: list[ScaledMatrix]) -> ScaledMatrix:
         if isinstance(node, Concat):
@@ -443,7 +443,33 @@ def _scaled_evaluator(automaton: Automaton, n: int, table: dict) -> Callable:
             return automaton.scaled_matrix(node.name)
         return scaled_identity(len(automaton.states))
 
-    return functools.partial(fold, children=subterms, combine=matrix, memo=table)
+    return unscale_matrix(fold(expression, subterms, matrix, table))
+
+
+def _reified(
+    automaton: Automaton, closure: Closure, n: int
+) -> Iterator[tuple[object, SharpExpression, ScaledMatrix]]:
+    """Each element of the closure in discovery order, with its expression
+    and the scaled matrix of that expression reified at n, computed from
+    its back-pointer: a product is its factors' product, by the letter's
+    nonzero entries when the right factor is a letter, and an iterate its
+    body's matrix to the power g(n)."""
+    if n < 1:
+        raise ValidationError("n must be at least 1")
+    one = scaled_identity(len(automaton.states))
+    g = n * math.factorial(len(closure.automaton.states))
+
+    def product(j: int, left, right, by: Optional[str]) -> ScaledMatrix:
+        if by is None:
+            return scaled_product(left, right)
+        return automaton.scaled_after(left, by)
+
+    return closure.walk(
+        lambda j: one,
+        lambda j, name: automaton.scaled_matrix(name),
+        product,
+        lambda j, body: scaled_power(body, g),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -561,19 +587,17 @@ def check_consistency(
     probability ≥ one_delta.  A failing report means the check was
     inconclusive at this n, not that the claim is refuted.  The thresholds
     must satisfy 0 ≤ zero_eps < 1 and 0 < one_delta ≤ 1, and every element
-    must have the automaton's dimension.  Each verdict is decided on ints:
-    both thresholds are scaled to the matrix's denominator once, and the
-    entries are read up to the first that fails.
+    must have the automaton's dimension.  The matrices are computed on the
+    closure's back-pointers, each once, in discovery order.  Each verdict
+    is decided on ints: both thresholds are scaled to the matrix's
+    denominator once, and the entries are read up to the first that fails.
     """
     e, f, d, g = validate_thresholds(zero_eps, one_delta)
     eps = zero_eps if type(zero_eps) is Fraction else Fraction(e, f)
     delta = one_delta if type(one_delta) is Fraction else Fraction(d, g)
     dim = len(automaton.states)
-    evaluate = _scaled_evaluator(automaton, n, {})
-    provenance, reports = closure.provenance, []
-    for element in closure.elements:
-        expression = provenance[element]
-        matrix = evaluate(expression)
+    reports = []
+    for element, expression, matrix in _reified(automaton, closure, n):
         if element.dim != dim:
             raise ValidationError("report must cover every state pair")
         rows, denominator = matrix
@@ -636,11 +660,8 @@ def check_lower_bound(
         raise ValidationError("precondition violation: leak witness present")
     p_min = automaton.min_transition_probability
     p, q = p_min.numerator, p_min.denominator
-    evaluate = _scaled_evaluator(automaton, n, {})
     reports = []
-    for element in closure.elements:
-        expression = closure.provenance[element]
-        rows, denominator = evaluate(expression)
+    for element, expression, (rows, denominator) in _reified(automaton, closure, n):
         support = tuple(
             sum(1 << t for t, x in enumerate(row) if x) for row in rows
         )

@@ -21,7 +21,9 @@ from leaktight import (
     CapExceeded,
     Concat,
     LimitWord,
+    MonoidClosure,
     automaton_to_json,
+    check_consistency,
     check_lower_bound,
     concat_expr,
     epsilon_expr,
@@ -32,6 +34,7 @@ from leaktight import (
     is_value1_witness,
     iterate_expr,
     letter_expr,
+    markov_monoid,
     parse_expression,
     parse_family,
     reify,
@@ -96,29 +99,6 @@ def test_deep_nest_of_letter_iterates() -> None:
     with pytest.raises(CapExceeded, match="reified word has length"):
         reify(expression, 2)  # 2^5000 letters
     assert expression_matrix(automaton, expression, 2) == ((F(1),),)
-
-
-def empty_nest(automaton: Automaton, depth: int):
-    return nest(epsilon_expr(1), depth)
-
-
-@pytest.mark.parametrize("build", [chain, empty_nest])
-def test_lower_bound_reads_a_deep_provenance(build) -> None:
-    automaton = one_state()
-    closure = extended_markov_monoid(automaton)
-    # `Saturation.expression` hands out the node it holds for an element,
-    # so a deep expression of the same word, put there before the closure
-    # is read, stands in as the provenance of its one element.
-    expression = build(automaton, DEPTH)
-    closure._saturation._nodes[0] = expression
-    (element,) = closure.elements
-    assert closure.provenance[element] is expression
-    assert expression.word == element.word
-    (report,) = check_lower_bound(automaton, closure)
-    # p_min = 1, so every claimed entry is 1 and no power of p_min is taken.
-    assert report.depth == DEPTH
-    assert report.ok and report.support_exact
-    assert [(e.s, e.t, e.numerator, e.denominator) for e in report.entries] == [(0, 0, 1, 1)]
 
 
 def test_parse_deep_expression() -> None:
@@ -247,14 +227,20 @@ def test_round_trips_keep_shared_subtrees_shared(round_trip) -> None:
 # The command line
 
 
-def permutation_28() -> Automaton:
-    """One letter permuting 28 states in cycles of 2, 3, 5, 7 and 11."""
+def successor_28() -> dict[int, int]:
+    """A permutation of 28 states in cycles of 2, 3, 5, 7 and 11."""
     successor = {}
     start = 0
     for length in (2, 3, 5, 7, 11):
         for i in range(length):
             successor[start + i] = start + (i + 1) % length
         start += length
+    return successor
+
+
+def permutation_28() -> Automaton:
+    """One letter permuting 28 states by `successor_28`."""
+    successor = successor_28()
     matrix = tuple(
         tuple(F(int(successor[s] == t)) for t in range(28)) for s in range(28)
     )
@@ -271,6 +257,32 @@ def test_reify_skips_an_empty_body_repeated_g_times() -> None:
     # g(1) = 28! repetitions of nothing: skipped, not built.
     automaton = permutation_28()
     assert reify(parse_expression("(ε)# a (ε)#", automaton), 1) == ("a",)
+
+
+def test_consistency_reifies_a_deep_back_pointer_chain() -> None:
+    # The closure is a^0 … a^2309 (a has order 2310), and a^2309 is the
+    # product of a^2308 and a: its one-element closure is a chain of 2,309
+    # back-pointers, reified with nothing read before it.
+    automaton = permutation_28()
+    saturation = markov_monoid(automaton)._saturation
+    last = len(saturation) - 1
+    (report,) = check_consistency(automaton, MonoidClosure(saturation, [last]), n=1)
+    assert report.ok and report.expression.depth == 2308
+    successor = power = successor_28()
+    for _ in range(2308):
+        power = {s: successor[t] for s, t in power.items()}
+    rows = tuple(tuple(int(power[s] == t) for t in range(28)) for s in range(28))
+    assert report.matrix == (rows, 1)
+
+
+def test_lower_bound_over_a_deep_extended_closure() -> None:
+    # p_min = 1, so every claimed entry is 1 and no power of p_min is taken.
+    automaton = permutation_28()
+    closure = extended_markov_monoid(automaton)
+    reports = check_lower_bound(automaton, closure)
+    assert len(reports) == 2310
+    assert all(report.ok and report.support_exact for report in reports)
+    assert max(report.depth for report in reports) > 2000
 
 
 def run_json(capsys, argv: list[str]) -> dict:

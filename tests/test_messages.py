@@ -15,8 +15,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from leaktight import Automaton, ValidationError, automaton_from_json
+from leaktight import Automaton, ValidationError, automaton_from_json, automaton_to_json
 from leaktight.cli import main
+from leaktight.zoo import fig3
 
 COMMANDS = (
     "{validate,value1,leaktight,monoid,extended-monoid,sharp-height,classify,"
@@ -68,6 +69,16 @@ ARGUMENT_ERRORS = {
 @pytest.mark.parametrize("argv", sorted(ARGUMENT_ERRORS), ids=" ".join)
 def test_argument_errors_are_pinned(capsys, argv: tuple[str, ...]) -> None:
     assert run(list(argv), capsys) == (1, "", f"error: {ARGUMENT_ERRORS[argv]}\n")
+
+
+def test_reify_check_refuses_n_below_one(capsys, tmp_path) -> None:
+    path = tmp_path / "fig3.json"
+    path.write_text(json.dumps(automaton_to_json(fig3())), encoding="utf-8")
+    assert run(["reify-check", str(path), "--bind", "n=0"], capsys) == (
+        1,
+        "",
+        "error: reification parameter n must be at least 1\n",
+    )
 
 
 TOP_HELP = f"""\

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from leaktight import (
     Automaton,
     CapExceeded,
-    LimitWord,
     ValidationError,
     brute_force_value,
     check_consistency,
@@ -35,6 +34,7 @@ from leaktight import (
     parallel_composition,
     parse_expression,
     parse_family,
+    reify,
     synchronized_product,
 )
 from leaktight import oracle
@@ -64,7 +64,6 @@ from .helpers import (
     seeded_extended,
     words_over,
 )
-from .reference_saturation import closure_record
 from .test_saturation import SCALING, scaling_automaton
 
 ZOO = {
@@ -211,13 +210,13 @@ def test_threshold_messages_print_the_callers_value(
 
 
 def test_consistency_rejects_an_element_of_another_dimension() -> None:
-    a, closure = seeded_automaton(0), seeded_closure(0)
-    dim = len(a.states)
-    element = LimitWord.identity(dim + 1)
-    expression = closure.provenance[closure.elements[-1]]
-    foreign = closure_record(a, (element,), {element: expression}, {element: 0})
+    # The closure of a 3-state automaton over the same letters as the
+    # 4-state corpus seed 0.
+    a = seeded_automaton(0)
+    other = random_automaton(random.Random(0), states=3, letters=2)
+    assert other.alphabet == a.alphabet and len(a.states) == 4
     with pytest.raises(ValidationError, match="^report must cover every state pair$"):
-        check_consistency(a, foreign, 3)
+        check_consistency(a, markov_monoid(other), 3)
 
 
 def _lower_bound(reports) -> list[tuple]:
@@ -318,6 +317,82 @@ def test_consistency_verdict_agrees_with_entries_built_when_read() -> None:
             assert "entries" not in vars(report), seed
             assert report.ok == all(entry.ok for entry in report.entries), seed
             assert "entries" in vars(report), seed
+
+
+def _assert_expression_matrices(a, reports, n: int) -> None:
+    """Each report's matrix is its expression's, evaluated node by node."""
+    memo: dict = {}
+    for report in reports:
+        expected = expression_matrix(a, report.expression, n, memo)
+        assert unscale_matrix(report.matrix) == expected, report.expression.render()
+
+
+@pytest.mark.parametrize("states,k", SCALING)
+def test_checks_match_reference_on_scaling_automata(states, k) -> None:
+    # 4-6 states, up to a few hundred elements, iterates among the generators.
+    a = scaling_automaton(states, k)
+    closure, extended = markov_monoid(a), extended_markov_monoid(a)
+    for n in (1, 2):
+        reports = check_consistency(a, closure, n=n)
+        assert _measured(reports) == ref.consistency_entries(a, closure, n), n
+        _assert_expression_matrices(a, reports, n)
+    assert find_leak_witness(extended) is None  # all 11 are leaktight
+    assert _lower_bound(check_lower_bound(a, extended, n=1)) == (
+        ref.lower_bound_reports(a, extended, 1)
+    )
+
+
+def test_consistency_matches_reference_on_derived_closures() -> None:
+    # The plain closure derived from the extended one: its back-pointers
+    # reach extended elements that are not in it.
+    outside = 0
+    for seed in range(0, 500, 10):
+        a, closure = seeded_automaton(seed), markov_monoid(seeded_extended(seed))
+        reports = check_consistency(a, closure, n=3)
+        assert _measured(reports) == ref.consistency_entries(a, closure, 3), seed
+        _assert_expression_matrices(a, reports, 3)
+        outside += len(closure) < len(seeded_extended(seed))
+    assert outside > 10
+
+
+def test_checks_read_no_provenance_map_and_report_its_nodes() -> None:
+    checked = 0
+    for seed in range(0, 500, 5):
+        a = seeded_automaton(seed)
+        pairs = [(markov_monoid(a), check_consistency)]
+        extended = extended_markov_monoid(a)
+        if find_leak_witness(extended) is None:
+            pairs.append((extended, check_lower_bound))
+        for closure, check in pairs:
+            reports = check(a, closure, 2)
+            assert not {"provenance", "heights"} & vars(closure).keys(), seed
+            assert [report.element for report in reports] == list(closure.elements)
+            for report in reports:
+                assert report.expression is closure.provenance[report.element]
+            checked += 1
+    assert checked > 150
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_n_below_one_is_refused_before_any_element(n) -> None:
+    # Closures over letters fig3 lacks: the first letter evaluated would
+    # raise "unknown letter".
+    a = fig3()
+    other = Automaton(a.states, ("x", "y"), a.initial, a.final, a.matrices)
+    closure, extended = markov_monoid(other), extended_markov_monoid(other)
+    expression = closure.provenance[closure.elements[-1]]
+    checks = (
+        lambda n: check_consistency(a, closure, n),
+        lambda n: check_lower_bound(a, extended, n),
+        lambda n: expression_matrix(a, expression, n),
+    )
+    for check in checks:
+        with pytest.raises(ValidationError, match="^unknown letter 'x'$"):
+            check(1)
+    for check in (*checks, lambda n: reify(expression, n)):
+        with pytest.raises(ValidationError) as raised:
+            check(n)
+        assert str(raised.value) == "n must be at least 1"
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +590,19 @@ def test_scaled_products_and_powers_match_reference(name) -> None:
                 ref.scale_matrix(power)
             )
             assert _power(left, exponent) == power
+    # A product by a letter runs over the letter's nonzero entries.
+    for build in ZOO.values():
+        a = build()
+        dim = len(a.states)
+        lefts = [left] if len(left[0]) == dim else []
+        for letter in a.alphabet:
+            for operand in (*lefts, *a.matrices):
+                scaled = ref.scale_matrix(operand)
+                expected = ref.scale_matrix(
+                    ref.rectangular_product(operand, a.matrix(letter))
+                )
+                assert a.scaled_after(scaled, letter) == expected
+                assert scaled_product(scaled, a.scaled_matrix(letter)) == expected
 
 
 STEPPED = {

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
 from leaktight import (
+    Automaton,
     CapExceeded,
     ValidationError,
     brute_force_value,
@@ -24,10 +26,10 @@ from leaktight import (
     reification_exponent,
     reify,
 )
+from leaktight.generate import random_automaton
 from leaktight.zoo import det1, fig1, fig3, hier2, rnd3, sink
 
 from .helpers import seeded_automaton, seeded_closure
-from .reference_saturation import closure_record
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +192,25 @@ def test_consistency_report_covers_all_entries() -> None:
 
 
 def test_consistency_failure_is_reported_not_raised() -> None:
-    # An element foreign to the automaton fails consistency gracefully:
-    # claimed edges carry no probability mass.
-    from leaktight import LimitWord
-    from leaktight.sharpexpr import letter_expr
+    # The closure of another automaton over the same letters: claims that
+    # fig3's probabilities do not meet are reported, not raised.
+    b = random_automaton(Random(0), states=2, letters=2)
+    assert b.alphabet == fig3().alphabet
+    reports = check_consistency(fig3(), markov_monoid(b), n=2)
+    assert len(reports) == 4
+    assert [report.ok for report in reports].count(False) == 3
+    for report in reports:
+        if not report.ok:
+            assert report.status == "inconclusive at n=2"
+            assert any(not entry.ok for entry in report.entries)
 
+
+def test_consistency_of_a_closure_over_other_letters_raises() -> None:
+    b = random_automaton(Random(0), states=2, letters=2)
     a = fig3()
-    closure = markov_monoid(a)
-    expr = closure.provenance[letter_expr(a, "b").word]
-    fake = LimitWord(2, (0b10, 0b01))
-    bad = closure_record(a, (fake,), {fake: expr}, {fake: 0})
-    reports = check_consistency(a, bad, n=12)
-    assert len(reports) == 1
-    assert not reports[0].ok
-    assert reports[0].status == "inconclusive at n=12"
+    renamed = Automaton(b.states, ("x", "y"), b.initial, b.final, b.matrices)
+    with pytest.raises(ValidationError, match="^unknown letter 'x'$"):
+        check_consistency(a, markov_monoid(renamed), n=2)
 
 
 @pytest.mark.parametrize(
