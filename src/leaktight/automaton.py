@@ -5,15 +5,17 @@ initial state, final states).  All probabilities are `fractions.Fraction`; there
 is no floating point anywhere in the model.
 
 Products, powers and distribution steps are computed on a scaled form: a
-matrix (or distribution) is a tuple of int numerators over one common
-denominator, reduced once per product or step: by the lowest set bit when
-the denominator is a power of two, by a single `math.gcd` otherwise.  A
-step, or a product by a letter, runs over the letter's nonzero entries.  The
-reduced form is unique, so it can be compared and hashed as it is.  The
-`Fraction` functions convert at the boundary.  Each automaton builds the
-scaled form of its letters once, at construction, and validates the
-matrices on it, checking each distinct entry object once; the probability
-predicates (p_min, determinism, simplicity, supports) read it too.
+matrix is a tuple of int numerator rows over one common denominator, and a
+distribution the (state, numerator) pairs of its nonzero entries, in state
+order, over one common denominator.  Each is reduced once per product or
+step: by the lowest set bit when the denominator is a power of two, by a
+single `math.gcd` otherwise.  A step, or a product by a letter, runs over
+the letter's nonzero entries.  The reduced form is unique, so it can be
+compared and hashed as it is.  The `Fraction` functions convert at the
+boundary.  Each automaton builds the scaled form of its letters once, at
+construction, and validates the matrices on it, checking each distinct
+entry object once; the probability predicates (p_min, determinism,
+simplicity, supports) read it too.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from .errors import CapExceeded, ValidationError
 __all__ = [
     "Matrix",
     "ScaledMatrix",
-    "ScaledVector",
+    "SparseVector",
     "Automaton",
     "unscale_matrix",
-    "scale_vector",
     "scaled_identity",
     "scaled_product",
     "scaled_power",
@@ -52,13 +53,13 @@ Matrix = tuple[tuple[Fraction, ...], ...]
 # (numerator rows, denominator): entry (s, t) is rows[s][t] / denominator,
 # with gcd(denominator, *entries) == 1.
 ScaledMatrix = tuple[tuple[tuple[int, ...], ...], int]
-# (numerators, denominator), reduced the same way.
-ScaledVector = tuple[tuple[int, ...], int]
+# (pairs, denominator): the (state, numerator) pairs with a nonzero
+# numerator, in state order, over a denominator reduced the same way.
+SparseVector = tuple[tuple[tuple[int, int], ...], int]
 # Per source state, the (target, numerator) pairs with a nonzero numerator.
 _SparseRows = tuple[tuple[tuple[int, int], ...], ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _divisor(entries: Iterable[int], denominator: int) -> int:
@@ -75,31 +76,12 @@ def _divisor(entries: Iterable[int], denominator: int) -> int:
     return low & -low
 
 
-def _reduced(entries: Sequence[int], denominator: int) -> tuple[tuple[int, ...], int]:
-    """`entries` over `denominator`, divided by the gcd of all of them."""
-    g = _divisor(entries, denominator)
-    if g == 1:
-        return tuple(entries), denominator
-    return tuple(x // g for x in entries), denominator // g
-
-
 def _reduced_rows(rows: list[list[int]], denominator: int) -> ScaledMatrix:
     """`rows` over `denominator`, divided by the gcd of all of them."""
     g = _divisor(chain.from_iterable(rows), denominator)
     if g == 1:
         return tuple(map(tuple, rows)), denominator
     return tuple(tuple([x // g for x in row]) for row in rows), denominator // g
-
-
-def scale_vector(entries: Sequence[Fraction]) -> ScaledVector:
-    """Rationals as numerators over their least common denominator."""
-    denominator = math.lcm(*(entry.denominator for entry in entries))
-    return (
-        tuple(
-            entry.numerator * (denominator // entry.denominator) for entry in entries
-        ),
-        denominator,
-    )
 
 
 def unscale_matrix(matrix: ScaledMatrix) -> Matrix:
@@ -130,30 +112,29 @@ POWER_DENOMINATOR_BITS = 2**20
 
 
 def scaled_power(matrix: ScaledMatrix, exponent: int) -> ScaledMatrix:
-    """matrix ** exponent by square-and-multiply.
+    """matrix ** exponent by left-to-right square-and-multiply.
 
+    From the matrix, each later bit of the exponent squares the result and,
+    when the bit is set, multiplies it by the matrix, whose denominator is
+    the smallest; the last squaring yields matrix^(exponent - exponent % 2).
     Raises CapExceeded when a squaring's denominator grows past
     `POWER_DENOMINATOR_BITS` bits; powers of 0/1 matrices never do.
     """
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    result = None
-    base = matrix
-    e = exponent
-    while e:
-        if e & 1:
-            result = base if result is None else scaled_product(result, base)
-        e >>= 1
-        if e:
-            base = scaled_product(base, base)
-            if base[1].bit_length() > POWER_DENOMINATOR_BITS:
-                raise CapExceeded(
-                    f"matrix power {exponent}: denominator exceeded "
-                    f"{POWER_DENOMINATOR_BITS} bits"
-                )
-    if result is None:
+    if not exponent:
         rows, _ = matrix
         return scaled_identity(len(rows))
+    result = matrix
+    for bit in bin(exponent)[3:]:
+        result = scaled_product(result, result)
+        if result[1].bit_length() > POWER_DENOMINATOR_BITS:
+            raise CapExceeded(
+                f"matrix power {exponent}: denominator exceeded "
+                f"{POWER_DENOMINATOR_BITS} bits"
+            )
+        if bit == "1":
+            result = scaled_product(result, matrix)
     return result
 
 
@@ -317,16 +298,29 @@ class Automaton:
             result = scaled_product(result, self.scaled_matrix(letter))
         return unscale_matrix(result)
 
-    def scaled_step(self, distribution: ScaledVector, letter: str) -> ScaledVector:
-        """The scaled `distribution` after `letter`, over the letter's nonzero entries."""
+    @cached_property
+    def scaled_start(self) -> SparseVector:
+        """The initial distribution: probability 1 on the initial state."""
+        return ((self.state_index[self.initial], 1),), 1
+
+    def scaled_step(self, distribution: SparseVector, letter: str) -> SparseVector:
+        """The sparse `distribution` after `letter`, over the letter's nonzero
+        entries; the successor's nonzero entries are those it reaches."""
         rows, letter_denominator = self._sparse_letters[self._letter(letter)]
-        numerators, denominator = distribution
-        successor = [0] * len(numerators)
-        for x, row in zip(numerators, rows):
-            if x:
-                for t, p in row:
-                    successor[t] += x * p
-        return _reduced(successor, denominator * letter_denominator)
+        pairs, denominator = distribution
+        successor: dict[int, int] = {}
+        get = successor.get
+        for s, x in pairs:
+            for t, p in rows[s]:
+                successor[t] = get(t, 0) + x * p
+        targets = sorted(successor)
+        numerators = list(map(successor.__getitem__, targets))
+        denominator *= letter_denominator
+        g = _divisor(numerators, denominator)
+        if g != 1:
+            numerators = [x // g for x in numerators]
+            denominator //= g
+        return tuple(zip(targets, numerators)), denominator
 
     def scaled_after(self, matrix: ScaledMatrix, letter: str) -> ScaledMatrix:
         """The scaled `matrix` times `letter`'s, over the letter's nonzero entries."""
@@ -342,17 +336,14 @@ class Automaton:
             products.append(product)
         return _reduced_rows(products, denominator * letter_denominator)
 
-    def initial_distribution(self) -> tuple[Fraction, ...]:
-        i = self.state_index[self.initial]
-        return tuple(ONE if s == i else ZERO for s in range(len(self.states)))
-
     def acceptance_probability(self, word: Iterable[str]) -> Fraction:
         """Probability that reading `word` from the initial state ends in a final state."""
-        distribution = scale_vector(self.initial_distribution())
+        distribution = self.scaled_start
         for letter in word:
             distribution = self.scaled_step(distribution, letter)
-        numerators, denominator = distribution
-        return Fraction(sum(numerators[f] for f in self.final_indices), denominator)
+        pairs, denominator = distribution
+        final = self.final_indices
+        return Fraction(sum(x for s, x in pairs if s in final), denominator)
 
 
 # ---------------------------------------------------------------------------

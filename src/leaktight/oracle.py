@@ -37,7 +37,6 @@ from .automaton import (
     Automaton,
     Matrix,
     ScaledMatrix,
-    scale_vector,
     scaled_identity,
     scaled_power,
     scaled_product,
@@ -89,15 +88,15 @@ def brute_force_value(
     Breadth-first over state distributions with exact-rational
     deduplication: two words inducing the same distribution have the same
     futures, so only distinct distributions are expanded.  A distribution
-    is kept in its reduced scaled form, which is unique, so equal
-    distributions are equal keys.
+    is kept in the reduced sparse form `Automaton.scaled_step` returns,
+    which is unique, so equal distributions are equal keys.
     """
     if max_len < 0:
         raise ValidationError("max_len must be nonnegative")
-    final = tuple(automaton.final_indices)
-    start = scale_vector(automaton.initial_distribution())
+    final = automaton.final_indices
+    start = automaton.scaled_start
     # best = best_num / best_den, compared by cross-multiplication.
-    best_num, best_den = sum(start[0][f] for f in final), start[1]
+    best_num, best_den = sum(x for s, x in start[0] if s in final), start[1]
     seen = {start}
     frontier = [start]
     explored = 1
@@ -116,8 +115,8 @@ def brute_force_value(
                         f"budget exceeded: more than {budget} distributions"
                     )
                 seen.add(successor)
-                numerators, denominator = successor
-                accepted = sum(numerators[f] for f in final)
+                pairs, denominator = successor
+                accepted = sum(x for s, x in pairs if s in final)
                 if accepted * best_den > best_num * denominator:
                     best_num, best_den = accepted, denominator
                 next_frontier.append(successor)
@@ -654,12 +653,17 @@ def check_lower_bound(
     enforced.  For each element (u, u₊) with expression e: the support of
     the reified word's matrix must equal u₊ exactly, and every entry where
     u claims 1 must be at least p_min^(2^d) with d the depth of e counting
-    every concatenation and iterate as one level.
+    every concatenation and iterate as one level.  Each claimed entry is
+    decided on ints by cross-multiplication; p_min's powers are computed
+    once per exponent in the call, and an exponent past `EXPONENT_CAP`
+    raises CapExceeded at the first entry that needs it.
     """
     if find_leak_witness(closure) is not None:
         raise ValidationError("precondition violation: leak witness present")
     p_min = automaton.min_transition_probability
     p, q = p_min.numerator, p_min.denominator
+    # (q^exponent, p^exponent) per exponent compared so far.
+    powers: dict[int, tuple[int, int]] = {}
     reports = []
     for element, expression, (rows, denominator) in _reified(automaton, closure, n):
         support = tuple(
@@ -683,7 +687,10 @@ def check_lower_bound(
                         f"> {EXPONENT_CAP}"
                     )
                 else:
-                    ok = x * q**exponent >= denominator * p**exponent
+                    scale = powers.get(exponent)
+                    if scale is None:
+                        scale = powers[exponent] = q**exponent, p**exponent
+                    ok = x * scale[0] >= denominator * scale[1]
                 entries.append(EntryCheck(s, t, 1, x, denominator, ok))
         reports.append(
             LowerBoundReport(

@@ -6,7 +6,10 @@ numerators over one common denominator.  The functions here are the
 they were methods or private), so that `tests/test_numerics.py` can check
 that the scaled form returns the same exact values.  The same holds for the
 matrix validation and the probability predicates, which now read each
-automaton's scaled letters.
+automaton's scaled letters.  Two scaled fast paths that were replaced are
+kept too: the right-to-left `scaled_power` and the breadth-first search of
+`brute_force_value` over dense scaled distributions, each reducing by
+`math.gcd` on its own.
 """
 
 from __future__ import annotations
@@ -153,6 +156,11 @@ def letter_abstraction(automaton: "Automaton", letter: str) -> LimitWord:
 # Products, powers, steps and reification
 
 
+def initial_distribution(automaton: Automaton) -> tuple[Fraction, ...]:
+    i = automaton.state_index[automaton.initial]
+    return tuple(ONE if s == i else ZERO for s in range(len(automaton.states)))
+
+
 def identity_matrix(dim: int) -> Matrix:
     return tuple(tuple(ONE if i == j else ZERO for j in range(dim)) for i in range(dim))
 
@@ -219,7 +227,7 @@ def brute_force_value(
     """Exact maximum acceptance probability over words of length ≤ max_len."""
     if max_len < 0:
         raise ValidationError("max_len must be nonnegative")
-    start = automaton.initial_distribution()
+    start = initial_distribution(automaton)
     best = acceptance(automaton, start)
     seen = {start}
     frontier = [start]
@@ -245,6 +253,130 @@ def brute_force_value(
                 next_frontier.append(successor)
         frontier = next_frontier
     return best
+
+
+# ---------------------------------------------------------------------------
+# The replaced scaled fast paths: right-to-left powers, dense distributions
+
+
+# (numerators, denominator), divided by the gcd of all of them.
+ScaledVector = tuple[tuple[int, ...], int]
+
+
+def scale_vector(entries) -> ScaledVector:
+    """Rationals as numerators over their least common denominator."""
+    denominator = math.lcm(*(entry.denominator for entry in entries))
+    return (
+        tuple(
+            entry.numerator * (denominator // entry.denominator) for entry in entries
+        ),
+        denominator,
+    )
+
+
+def _gcd_reduced(rows: list[list[int]], denominator: int) -> ScaledMatrix:
+    g = math.gcd(denominator, *(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows), denominator // g
+
+
+def _scaled_product(left: ScaledMatrix, right: ScaledMatrix) -> ScaledMatrix:
+    (a, da), (b, db) = left, right
+    cols = tuple(zip(*b))
+    return _gcd_reduced(
+        [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a], da * db
+    )
+
+
+def right_to_left_power(
+    matrix: ScaledMatrix, exponent: int, cap_bits: int
+) -> ScaledMatrix:
+    """matrix ** exponent by right-to-left square-and-multiply, as
+    `automaton.scaled_power` computed it before it squared left to right:
+    raises CapExceeded when a squaring of the base, the last one skipped,
+    has a denominator of more than `cap_bits` bits."""
+    if exponent < 0:
+        raise ValueError("exponent must be nonnegative")
+    result = None
+    base = matrix
+    e = exponent
+    while e:
+        if e & 1:
+            result = base if result is None else _scaled_product(result, base)
+        e >>= 1
+        if e:
+            base = _scaled_product(base, base)
+            if base[1].bit_length() > cap_bits:
+                raise CapExceeded(
+                    f"matrix power {exponent}: denominator exceeded {cap_bits} bits"
+                )
+    if result is None:
+        rows, _ = matrix
+        return tuple(
+            tuple(int(i == j) for j in range(len(rows))) for i in range(len(rows))
+        ), 1
+    return result
+
+
+def dense_step(letters: tuple, distribution: ScaledVector, letter: int) -> ScaledVector:
+    """The dense scaled `distribution` after the letter at index `letter` of
+    `letters`, the automaton's `sparse_letters`."""
+    rows, letter_denominator = letters[letter]
+    numerators, denominator = distribution
+    successor = [0] * len(numerators)
+    for x, row in zip(numerators, rows):
+        if x:
+            for t, p in row:
+                successor[t] += x * p
+    (reduced,), denominator = _gcd_reduced([successor], denominator * letter_denominator)
+    return reduced, denominator
+
+
+def dense_acceptance_probability(automaton: Automaton, word) -> Fraction:
+    """`Automaton.acceptance_probability` on dense scaled distributions."""
+    letters = sparse_letters(automaton)
+    distribution = scale_vector(initial_distribution(automaton))
+    for letter in word:
+        distribution = dense_step(letters, distribution, automaton.letter_index[letter])
+    numerators, denominator = distribution
+    return Fraction(sum(numerators[f] for f in automaton.final_indices), denominator)
+
+
+def dense_search(
+    automaton: Automaton, max_len: int, budget: int = DEFAULT_BUDGET
+) -> tuple[Fraction, int]:
+    """`brute_force_value` over dense scaled distributions, with the number
+    of distributions it explored: the least budget at which it finishes."""
+    if max_len < 0:
+        raise ValidationError("max_len must be nonnegative")
+    letters = sparse_letters(automaton)
+    final = tuple(automaton.final_indices)
+    start = scale_vector(initial_distribution(automaton))
+    best_num, best_den = sum(start[0][f] for f in final), start[1]
+    seen = {start}
+    frontier = [start]
+    explored = 1
+    for _ in range(max_len):
+        if not frontier or best_num == best_den:
+            break
+        next_frontier = []
+        for distribution in frontier:
+            for letter in range(len(letters)):
+                successor = dense_step(letters, distribution, letter)
+                if successor in seen:
+                    continue
+                explored += 1
+                if explored > budget:
+                    raise CapExceeded(
+                        f"budget exceeded: more than {budget} distributions"
+                    )
+                seen.add(successor)
+                numerators, denominator = successor
+                accepted = sum(numerators[f] for f in final)
+                if accepted * best_den > best_num * denominator:
+                    best_num, best_den = accepted, denominator
+                next_frontier.append(successor)
+        frontier = next_frontier
+    return Fraction(best_num, best_den), explored
 
 
 def family_matrix(

@@ -3,12 +3,16 @@
 `tests/reference_numerics.py` keeps the entry-by-entry `Fraction` code that
 the library's scaled form (int numerators over one common denominator)
 replaced.  Every check here asks for identical exact values, and for the
-same `CapExceeded` messages at the same budgets.
+same `CapExceeded` messages at the same budgets, save where the power
+cap's boundary moved when powers began to square left to right, which
+`test_power_cap_checks_every_squaring` pins.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
+import math
 import random
 from decimal import Decimal
 from fractions import Fraction as F
@@ -40,7 +44,6 @@ from leaktight import (
 from leaktight import oracle
 from leaktight.automaton import (
     POWER_DENOMINATOR_BITS,
-    scale_vector,
     scaled_power,
     scaled_product,
     unscale_matrix,
@@ -485,6 +488,53 @@ def test_same_cap_exceeded_around_the_explored_count(build, max_len) -> None:
     assert not isinstance(outcomes[1], tuple)
 
 
+def _random_5_to_8_states() -> list[Automaton]:
+    """Three seeded automata for each of 5-8 states and 2-3 letters, with
+    the last state as the only final one, so that most do not reach value 1
+    within 8 letters and stop early; each also perturbed to denominators
+    other than powers of two."""
+    drawn = []
+    for states in range(5, 9):
+        for letters in (2, 3):
+            for k in range(3):
+                a = random_automaton(
+                    random.Random(f"brute-force/{states}/{letters}/{k}"),
+                    states=states,
+                    letters=letters,
+                )
+                a = dataclasses.replace(a, final=frozenset(a.states[-1:]))
+                drawn += [a, perturb(k, a)]
+    return drawn
+
+
+SPARSE_STEPPED = {
+    "reductions": lambda: [_reduced(name) for name in REDUCED],
+    "corpus-every-10th": lambda: [seeded_automaton(seed) for seed in range(0, 500, 10)],
+    "random-5-8-states": _random_5_to_8_states,
+}
+
+
+def _dense_value(automaton, max_len: int, budget: int):
+    return ref.dense_search(automaton, max_len, budget)[0]
+
+
+@pytest.mark.parametrize("name", sorted(SPARSE_STEPPED))
+def test_sparse_steps_match_dense_reference(name) -> None:
+    rng = random.Random(name)
+    for a in SPARSE_STEPPED[name]():
+        value, explored = ref.dense_search(a, 8)
+        assert brute_force_value(a, 8) == value
+        for budget in (explored - 1, explored):
+            assert _outcome(brute_force_value, a, 8, budget) == (
+                _outcome(_dense_value, a, 8, budget)
+            )
+        for _ in range(20):
+            word = tuple(rng.choice(a.alphabet) for _ in range(rng.randrange(13)))
+            assert a.acceptance_probability(word) == (
+                ref.dense_acceptance_probability(a, word)
+            )
+
+
 # ---------------------------------------------------------------------------
 # Drawn automata and rational matrices
 
@@ -494,12 +544,13 @@ def test_same_cap_exceeded_around_the_explored_count(build, max_len) -> None:
 def test_drawn_automata_match_reference(a, data) -> None:
     word = data.draw(words_over(a, max_size=10))
     assert a.word_matrix(word) == ref.word_matrix(a, word)
-    distribution = scale_vector(a.initial_distribution())
-    expected = a.initial_distribution()
+    distribution = a.scaled_start
+    expected = ref.initial_distribution(a)
+    assert distribution == _sparse_vector(expected)
     for letter in word:
         distribution = a.scaled_step(distribution, letter)
         expected = ref.step(a, expected, letter)
-        assert distribution == _scaled_vector(expected)
+        assert distribution == _sparse_vector(expected)
     assert a.acceptance_probability(word) == ref.acceptance(a, expected)
     matrix = ref.word_matrix(a, word[:3])
     for exponent in range(6):
@@ -614,16 +665,17 @@ STEPPED = {
 }
 
 
-def _scaled_vector(distribution: tuple) -> tuple:
+def _sparse_vector(distribution: tuple) -> tuple:
+    """A `Fraction` distribution in the reduced sparse form of `scaled_step`."""
     (numerators,), denominator = ref.scale_matrix((distribution,))
-    return numerators, denominator
+    return tuple((t, x) for t, x in enumerate(numerators) if x), denominator
 
 
 @pytest.mark.parametrize("name", sorted(STEPPED))
 def test_scaled_steps_match_reference(name) -> None:
     a = STEPPED[name]()
     dim = len(a.states)
-    starts = [a.initial_distribution()]
+    starts = [ref.initial_distribution(a)]
     starts += [tuple(F(s == t) for t in range(dim)) for s in range(dim)]
     starts.append(tuple(F(1, dim) for _ in range(dim)))
     for start in starts:
@@ -633,8 +685,8 @@ def test_scaled_steps_match_reference(name) -> None:
             for distribution in frontier:
                 for letter in a.alphabet:
                     expected = ref.step(a, distribution, letter)
-                    assert a.scaled_step(_scaled_vector(distribution), letter) == (
-                        _scaled_vector(expected)
+                    assert a.scaled_step(_sparse_vector(distribution), letter) == (
+                        _sparse_vector(expected)
                     )
                     successors.append(expected)
             frontier = successors[:8]
@@ -655,6 +707,104 @@ def test_power_bound_stops_only_growing_denominators() -> None:
         f"matrix power {bound}: denominator exceeded {bound} bits"
     )
     assert scaled_power(reset, 10**20) == reset
+
+
+def test_power_cap_checks_every_squaring(monkeypatch) -> None:
+    # Left to right, the last squaring yields m^(e - e % 2), and the cap
+    # checks it; right to left, the largest power checked was m^(2^⌊log₂ e⌋).
+    bits = 64
+    monkeypatch.setattr("leaktight.automaton.POWER_DENOMINATOR_BITS", bits)
+
+    def refused(exponent: int) -> str:
+        return f"matrix power {exponent}: denominator exceeded {bits} bits"
+
+    # m^e has denominator 3^e: 51 bits at e = 32, 64 at e = 40, 65 at
+    # e = 41 and 67 at e = 42.
+    thirds = ref.scale_matrix(_matrix(("1/3", "2/3"), ("2/3", "1/3")))
+    for exponent in range(42):
+        assert scaled_power(thirds, exponent) == (
+            ref.right_to_left_power(thirds, exponent, bits)
+        )
+    # The product by m after the last squaring is not checked.
+    assert scaled_power(thirds, 41)[1] == 3**41
+    # Raised now, returned before: the squarings reach m^42 and more, but
+    # right to left the largest power checked was m^32.
+    for exponent in range(42, 64):
+        with pytest.raises(CapExceeded) as raised:
+            scaled_power(thirds, exponent)
+        assert str(raised.value) == refused(exponent)
+        assert ref.right_to_left_power(thirds, exponent, bits)[1] == 3**exponent
+    # Where each factor doubles the denominator, the boundary does not
+    # move: fig3's coin letter has denominator 2^e, of e + 1 bits.
+    coin = fig3().scaled_matrix("a")
+    for exponent in (62, 63):
+        assert scaled_power(coin, exponent) == (
+            ref.right_to_left_power(coin, exponent, bits)
+        )
+        assert scaled_power(coin, exponent)[1] == 2**exponent
+    for matrix, exponent in ((thirds, 64), (thirds, 100), (coin, 64), (coin, 127)):
+        for power in (scaled_power, lambda m, e: ref.right_to_left_power(m, e, bits)):
+            with pytest.raises(CapExceeded) as raised:
+                power(matrix, exponent)
+            assert str(raised.value) == refused(exponent)
+
+
+# The exponents the power tests take: 0-64, and the iterate powers
+# n·|Q|! of reification for n = 1..12 and |Q| = 1..6.
+POWERS = sorted(
+    set(range(65))
+    | {n * math.factorial(states) for n in range(1, 13) for states in range(1, 7)}
+)
+POWER_INPUTS = {
+    # Every square operand of `PRODUCTS`, negative and zero rows included.
+    "products": lambda: [
+        ref.scale_matrix(matrix)
+        for pair in PRODUCTS.values()
+        for matrix in pair
+        if len(matrix) == len(matrix[0])
+    ],
+    "zoo-letters": lambda: [
+        a.scaled_matrix(letter)
+        for a in (build() for build in ZOO.values())
+        for letter in a.alphabet
+    ],
+}
+
+
+@pytest.mark.parametrize("inputs", sorted(POWER_INPUTS))
+def test_left_to_right_powers_match_right_to_left_reference(inputs) -> None:
+    for matrix in dict.fromkeys(POWER_INPUTS[inputs]()):
+        for exponent in POWERS:
+            assert scaled_power(matrix, exponent) == ref.right_to_left_power(
+                matrix, exponent, POWER_DENOMINATOR_BITS
+            ), exponent
+
+
+@pytest.mark.parametrize("seed", [265, 279])
+def test_left_to_right_powers_match_reference_on_iterate_bodies(
+    seed, monkeypatch
+) -> None:
+    # These two bodies, of about 290 bits, raised to the 144th power take
+    # most of `check_consistency` at n = 6 on the corpus.
+    taken = []
+    power = oracle.scaled_power
+
+    def record(matrix, exponent):
+        taken.append((matrix, exponent))
+        return power(matrix, exponent)
+
+    monkeypatch.setattr(oracle, "scaled_power", record)
+    check_consistency(seeded_automaton(seed), seeded_closure(seed), n=6)
+    monkeypatch.undo()
+    assert [exponent for _, exponent in taken] == [144, 144]
+    assert max(body[1].bit_length() for body, _ in taken) > 280
+    # Up to the exponent n = 6 takes: a 290-bit body to the 8,640th power
+    # would pass 2^20 bits.
+    for body, _ in taken:
+        for exponent in (e for e in POWERS if e <= 144):
+            assert scaled_power(body, exponent) == ref.right_to_left_power(
+                body, exponent, POWER_DENOMINATOR_BITS
+            ), exponent
 
 
 def test_default_reification_of_deep_provenance_stays_under_power_bound() -> None:
