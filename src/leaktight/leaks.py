@@ -86,10 +86,6 @@ class ExtendedClosure(Closure[ExtendedLimitWord]):
     def _wrap(words: tuple[LimitWord, ...]) -> ExtendedLimitWord:
         return ExtendedLimitWord(*words)
 
-    @staticmethod
-    def _components(element: ExtendedLimitWord) -> tuple[LimitWord, ...]:
-        return element.word, element.support
-
     def projection(self) -> frozenset[LimitWord]:
         """The set of limit-word components of the pairs."""
         return frozenset(pair.word for pair in self.elements)
@@ -107,7 +103,7 @@ class ExtendedClosure(Closure[ExtendedLimitWord]):
         words = [key & ((1 << n * n) - 1) for key in saturation.keys]
         # Filled from the last pair back, so each word keeps its first pair.
         firsts = dict(zip(reversed(words), range(len(words) - 1, -1, -1)))
-        return MonoidClosure(saturation, sorted(firsts.values()), firsts)
+        return MonoidClosure(saturation, sorted(firsts.values()))
 
 
 def extended_markov_monoid(

@@ -181,6 +181,8 @@ def saturate(
         return tuple([(key >> shift) & full for shift in shifts])
 
     keys: list[int] = []
+    # Each key's index.  Only membership is read, and a dict probes these
+    # keys, which hash to themselves, faster than a set does.
     index: dict[int, int] = {}
     sources: list = []
     heights: list[int] = []
@@ -226,7 +228,7 @@ def saturate(
     for letter, (rows, _) in zip(automaton.alphabet, automaton._scaled_letters):
         seeds.append((letter, [sum(compress(columns, row)) for row in rows]))
     for source, rows in seeds:
-        key = _pack(rows * k, n)
+        key = sum(row << (j * n) for j, row in enumerate(rows * k))
         if key not in index:
             add(key, source, 0)
     generators = list(range(1, len(keys)))
@@ -339,15 +341,7 @@ def saturate(
             break
         level, start = level + 1, old
 
-    return Saturation(automaton, k, keys, sources, heights, found, leaks, index)
-
-
-def _pack(rows: Iterable[int], n: int) -> int:
-    """The key whose j-th n-bit field holds the j-th row."""
-    key = 0
-    for j, row in enumerate(rows):
-        key |= row << (j * n)
-    return key
+    return Saturation(automaton, k, keys, sources, heights, found, leaks)
 
 
 class Saturation:
@@ -360,8 +354,7 @@ class Saturation:
     the indices of the elements whose components are all idempotent.
     `leaks` holds, ascending, those of the idempotents in which a state r
     recurrent in the first component has an edge r→q in the second, and
-    the first has no edge q→r; it is empty for one component.  `index`
-    maps each key to its element.
+    the first has no edge q→r; it is empty for one component.
     Nothing is decoded until it is read: `words` and `expression` decode
     one element, each at most once, so a node read early is the very node
     a later read returns.  `fold` is the one walk over back-pointers, on
@@ -380,7 +373,6 @@ class Saturation:
         heights: list[int],
         idempotents: list[int],
         leaks: list[int],
-        index: dict[int, int],
     ) -> None:
         self.automaton = automaton
         self.keys = keys
@@ -388,7 +380,6 @@ class Saturation:
         self.heights = heights
         self.idempotents = idempotents
         self.leaks = leaks
-        self.index = index
         n = len(automaton.states)
         full, _, _, self._shifts, _ = _layout(n, components)
         self._n, self._full = n, full
@@ -478,10 +469,6 @@ class Saturation:
             pending.pop()
         return values[i]
 
-    def key(self, words: Iterable[LimitWord]) -> int:
-        """The key whose leading components are these words."""
-        return _pack([row for word in words for row in word.rows], self._n)
-
 
 # ---------------------------------------------------------------------------
 # Closures
@@ -497,31 +484,21 @@ class Closure(Generic[E]):
     element has a witnessing expression in `provenance` and its least
     iterate-nesting height in `heights`.  A closure is read off a
     `Saturation`: the saturation's elements at `indices` (all of them by
-    default), ascending, where `lookup` maps the key of an element's
-    components to its index (by default the saturation's `index`).  Each
-    field is decoded when it is first read, in discovery order; `len`,
-    `max_height`, `expression` and `walk` build neither of the two maps.
+    default), ascending.  Each field is decoded when it is first read, in
+    discovery order; `len`, `max_height` and `walk` build neither of the
+    two maps.
     """
 
     def __init__(
-        self,
-        saturation: Saturation,
-        indices: Optional[Sequence[int]] = None,
-        lookup: Optional[Mapping[int, int]] = None,
+        self, saturation: Saturation, indices: Optional[Sequence[int]] = None
     ) -> None:
         self.automaton = saturation.automaton
         self._saturation = saturation
         self._indices = range(len(saturation)) if indices is None else indices
-        self._lookup = saturation.index if lookup is None else lookup
 
     @staticmethod
     def _wrap(words: tuple[LimitWord, ...]) -> E:
         """The element of a saturation's decoded components."""
-        raise NotImplementedError
-
-    @staticmethod
-    def _components(element: E) -> tuple[LimitWord, ...]:
-        """The components of an element that key it in `_lookup`."""
         raise NotImplementedError
 
     @cached_property
@@ -550,16 +527,6 @@ class Closure(Generic[E]):
         # Heights never fall in discovery order, and the indices ascend.
         return self._saturation.heights[self._indices[-1]]
 
-    def expression(self, element: E) -> SharpExpression:
-        """The element's witnessing expression, `provenance[element]`."""
-        saturation = self._saturation
-        # Components of another dimension pack to no element's key: some
-        # row field stays empty, or a row lands past the key's width.
-        i = self._lookup.get(saturation.key(self._components(element)))
-        if i is None:
-            raise KeyError(element)
-        return saturation.expression(i)
-
     def walk(
         self,
         identity: Callable[[int], V],
@@ -585,10 +552,6 @@ class MonoidClosure(Closure[LimitWord]):
     @staticmethod
     def _wrap(words: tuple[LimitWord, ...]) -> LimitWord:
         return words[0]
-
-    @staticmethod
-    def _components(element: LimitWord) -> tuple[LimitWord, ...]:
-        return (element,)
 
 
 def markov_monoid(

@@ -29,7 +29,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -452,11 +452,15 @@ def _reified(
     and the scaled matrix of that expression reified at n, computed from
     its back-pointer: a product is its factors' product, by the letter's
     nonzero entries when the right factor is a letter, and an iterate its
-    body's matrix to the power g(n)."""
+    body's matrix to the power g(n).  The closure must be over the
+    automaton's states."""
     if n < 1:
         raise ValidationError("n must be at least 1")
-    one = scaled_identity(len(automaton.states))
-    g = n * math.factorial(len(closure.automaton.states))
+    dim = len(automaton.states)
+    if len(closure.automaton.states) != dim:
+        raise ValidationError("report must cover every state pair")
+    one = scaled_identity(dim)
+    g = n * math.factorial(dim)
 
     def product(j: int, left, right, by: Optional[str]) -> ScaledMatrix:
         if by is None:
@@ -585,8 +589,8 @@ def check_consistency(
     probability ≤ zero_eps and entries claimed 1 must have measured
     probability ≥ one_delta.  A failing report means the check was
     inconclusive at this n, not that the claim is refuted.  The thresholds
-    must satisfy 0 ≤ zero_eps < 1 and 0 < one_delta ≤ 1, and every element
-    must have the automaton's dimension.  The matrices are computed on the
+    must satisfy 0 ≤ zero_eps < 1 and 0 < one_delta ≤ 1, and the closure
+    must be over the automaton's states.  The matrices are computed on the
     closure's back-pointers, each once, in discovery order.  Each verdict
     is decided on ints: both thresholds are scaled to the matrix's
     denominator once, and the entries are read up to the first that fails.
@@ -594,11 +598,8 @@ def check_consistency(
     e, f, d, g = validate_thresholds(zero_eps, one_delta)
     eps = zero_eps if type(zero_eps) is Fraction else Fraction(e, f)
     delta = one_delta if type(one_delta) is Fraction else Fraction(d, g)
-    dim = len(automaton.states)
     reports = []
     for element, expression, matrix in _reified(automaton, closure, n):
-        if element.dim != dim:
-            raise ValidationError("report must cover every state pair")
         rows, denominator = matrix
         zero_max, one_min = _bounds(e, f, d, g, denominator)
         reports.append(
@@ -625,8 +626,8 @@ class LowerBoundReport:
 
     `entries` holds one `EntryCheck` (with `claimed == 1`) per edge the
     limit word claims, row-major; each was decided on ints against
-    p_min^(2^depth).  `ok`, set when the report is built, holds when the
-    support is exact and every entry passes.
+    p_min^(2^depth).  `ok` holds when the support is exact and every entry
+    passes.
     """
 
     element: ExtendedLimitWord
@@ -635,11 +636,7 @@ class LowerBoundReport:
     depth: int
     support_exact: bool
     entries: tuple[EntryCheck, ...]
-    ok: bool = field(init=False)
-
-    def __post_init__(self) -> None:
-        ok = self.support_exact and all(entry.ok for entry in self.entries)
-        object.__setattr__(self, "ok", ok)
+    ok: bool
 
 
 def check_lower_bound(
@@ -671,7 +668,7 @@ def check_lower_bound(
         )
         depth = expression.depth
         exponent = 2**depth
-        entries = []
+        entries, passed = [], True
         for s, (bits, row) in enumerate(zip(element.word.rows, rows)):
             for t, x in enumerate(row):
                 if not bits >> t & 1:
@@ -692,14 +689,17 @@ def check_lower_bound(
                         scale = powers[exponent] = q**exponent, p**exponent
                     ok = x * scale[0] >= denominator * scale[1]
                 entries.append(EntryCheck(s, t, 1, x, denominator, ok))
+                passed &= ok
+        exact = support == element.support.rows
         reports.append(
             LowerBoundReport(
                 element=element,
                 expression=expression,
                 n=n,
                 depth=depth,
-                support_exact=support == element.support.rows,
+                support_exact=exact,
                 entries=tuple(entries),
+                ok=exact and passed,
             )
         )
     return reports

@@ -127,18 +127,8 @@ class ReductionOutput:
             )
 
 
-def _reduction_letters(automaton: Automaton, with_finish: bool) -> list[str]:
-    letters = ["star", "merge"]
-    if with_finish:
-        letters.append("finish")
-    for a in automaton.alphabet:
-        for q in automaton.states:
-            letters.append(f"check:{a}:{q}")
-            letters.append(f"apply:{a}:{q}")
-    return letters
-
-
 def _letter_descriptions(automaton: Automaton, with_finish: bool) -> dict[str, str]:
+    """The reduction's letters, in alphabet order, each with its description."""
     descriptions = {
         "star": "toss the shared coin at the coin state",
         "merge": "return every shadow copy to its plain state",
@@ -226,7 +216,8 @@ def reduce_basic(automaton: Automaton) -> ReductionOutput:
         + [bar[q] for q in automaton.states]
         + [coin, zero, one]
     )
-    letters = _reduction_letters(automaton, with_finish=False)
+    descriptions = _letter_descriptions(automaton, with_finish=False)
+    letters = list(descriptions)
     matrices: list[Matrix] = []
     for letter in letters:
         builder = _RowBuilder(states)
@@ -251,7 +242,7 @@ def reduce_basic(automaton: Automaton) -> ReductionOutput:
     hat = {a: hat_morphism(automaton, (a,)) for a in automaton.alphabet}
     return ReductionOutput(
         automaton=reduced,
-        letter_map=_letter_descriptions(automaton, with_finish=False),
+        letter_map=descriptions,
         hat=hat,
         kind="basic",
     )
@@ -287,7 +278,8 @@ def reduce_full(automaton: Automaton) -> ReductionOutput:
         + checker_mid
         + [sink]
     )
-    letters = _reduction_letters(automaton, with_finish=True)
+    descriptions = _letter_descriptions(automaton, with_finish=True)
+    letters = list(descriptions)
 
     def checker_step(state: str, letter: str) -> str:
         """The embedded checker: deterministic and complete, with trap `sink`."""
@@ -351,7 +343,7 @@ def reduce_full(automaton: Automaton) -> ReductionOutput:
     )
     return ReductionOutput(
         automaton=reduced,
-        letter_map=_letter_descriptions(automaton, with_finish=True),
+        letter_map=descriptions,
         hat=dict(template),
         kind="full",
     )
@@ -395,11 +387,8 @@ def third_simulation(automaton: Automaton) -> Automaton:
                 builder.move(q, automaton.states[targets[0]])
         matrices.append(builder.matrix())
     builder = _RowBuilder(states)
-    for (a, q), (entry, low_retry, high_retry) in gadget.items():
-        targets = _row_targets(
-            automaton.matrix(a)[automaton.state_index[q]]
-        )
-        low, high = targets
+    for a, q, low, high in coin_rows:
+        entry, low_retry, high_retry = gadget[(a, q)]
         builder.split(entry, {low_retry: THIRD, high_retry: TWO_THIRDS})
         builder.split(
             low_retry, {entry: THIRD, automaton.states[low]: TWO_THIRDS}

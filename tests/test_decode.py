@@ -1,11 +1,12 @@
 """Closures read off a saturation decode only what is read.
 
 Whatever is read first — the elements, the provenance, the heights, one
-element's expression, or a decision's witness — every closure must come out
-as the eager reference builds it: `reference_cayley_saturate`, which
-decodes every element and builds every expression with `concat_expr` /
-`iterate_expr` at once.  A node read early must be the node a later full
-read returns, and re-reading an expression returns the same object.
+element's expression by its position, or a decision's witness — every
+closure must come out as the eager reference builds it:
+`reference_cayley_saturate`, which decodes every element and builds every
+expression with `concat_expr` / `iterate_expr` at once.  A node read early
+must be the node a later full read returns, and re-reading an expression
+returns the same object.
 
 The value-1 witness, the derived plain closure and the leaks are found on
 the engine's keys; they must agree with the element scans of
@@ -133,22 +134,24 @@ READS = (read_nothing_first, read_provenance_first, read_heights_first, read_ide
 
 def assert_reads_like_reference(closure, expected, read_first, early=()) -> None:
     """Read `read_first`, then the largest height, then the expressions of
-    `early` one at a time, then everything; the result must be the
-    reference's, and the early nodes the ones the full read returns."""
+    the elements at the positions `early` one at a time, through the
+    saturation, then everything; the result must be the reference's, and
+    the early nodes the ones the full read returns."""
     read_first(closure)
     max_height = closure.max_height
     if read_first is read_nothing_first:
         # The largest height decodes nothing.
         assert not {"elements", "provenance", "heights"} & vars(closure).keys()
-    nodes = [(element, closure.expression(element)) for element in early]
+    saturation, indices = closure._saturation, closure._indices
+    nodes = [(position, saturation.expression(indices[position])) for position in early]
     assert len(closure) == len(expected[0])
     assert fields(closure) == expected
     assert max_height == closure.max_height == max(expected[2])
-    for element, node in nodes:
-        assert closure.provenance[element] is node
-        assert closure.expression(element) is node
-    for element in closure.elements[-3:]:
-        assert closure.expression(element) is closure.provenance[element]
+    for position, node in nodes:
+        assert closure.provenance[closure.elements[position]] is node
+        assert saturation.expression(indices[position]) is node
+    for i, element in zip(indices[-3:], closure.elements[-3:]):
+        assert saturation.expression(i) is closure.provenance[element]
 
 
 def assert_every_read_order(automaton) -> None:
@@ -159,9 +162,9 @@ def assert_every_read_order(automaton) -> None:
         "derived": lambda: extended_markov_monoid(automaton).plain_closure(),
     }
     for kind, build in builders.items():
-        elements = expected[kind][0]
+        size = len(expected[kind][0])
         # The last element, then one from the middle: each decoded alone.
-        early = [elements[-1], elements[len(elements) // 2]]
+        early = [size - 1, size // 2]
         for read_first in READS:
             assert_reads_like_reference(build(), expected[kind], read_first)
         assert_reads_like_reference(build(), expected[kind], read_nothing_first, early)
@@ -169,17 +172,14 @@ def assert_every_read_order(automaton) -> None:
 
     # The decisions read their witnesses first, and everything afterwards.
     report = decide_value1(automaton)
+    assert_reads_like_reference(report.closure, expected["derived"], read_nothing_first)
     if report.value1:
-        early = [report.certificate.element]
-        assert report.closure.expression(early[0]) is report.certificate.witness
-    else:
-        early = []
-    assert_reads_like_reference(report.closure, expected["derived"], read_nothing_first, early)
+        witness = report.certificate.witness
+        assert report.closure.provenance[report.certificate.element] is witness
     leak = decide_leaktight(automaton)
-    early = [] if leak.witness is None else [leak.witness.element]
+    assert_reads_like_reference(leak.closure, expected["extended"], read_nothing_first)
     if leak.witness is not None:
-        assert leak.closure.expression(early[0]) is leak.witness.expression
-    assert_reads_like_reference(leak.closure, expected["extended"], read_nothing_first, early)
+        assert leak.closure.provenance[leak.witness.element] is leak.witness.expression
 
 
 def test_every_read_order_matches_the_eager_reference_on_corpus() -> None:
@@ -212,30 +212,37 @@ def repeated_abstractions() -> Automaton:
     )
 
 
+def pack(word: LimitWord, components: int) -> int:
+    """The key of the element whose every component is `word`."""
+    rows = word.rows * components
+    return sum(row << (j * word.dim) for j, row in enumerate(rows))
+
+
 @pytest.mark.parametrize("components", [1, 2])
 def test_seed_nodes_are_built_on_first_read(components: int) -> None:
     inputs = [seeded_automaton(seed) for seed in corpus()[:100]]
     inputs.append(repeated_abstractions())
     for automaton in inputs:
         saturation = saturate(automaton, components, DEFAULT_CAP)
+        index = {key: i for i, key in enumerate(saturation.keys)}
         n = len(automaton.states)
         # Each letter's first seed, or the identity's, keeps its place.
         first: dict[int, object] = {}
         expected = [epsilon_expr(n)]
         expected += [letter_expr(automaton, letter) for letter in automaton.alphabet]
         for expression in expected:
-            first.setdefault(saturation.key([expression.word] * components), expression)
+            first.setdefault(pack(expression.word, components), expression)
         seeds = list(first.values())
         assert saturation.sources[: len(seeds)] == [
             None if isinstance(seed, Epsilon) else seed.name for seed in seeds
         ]
         for i, seed in enumerate(seeds):
-            assert saturation.keys[i] == saturation.key([seed.word] * components)
+            assert saturation.keys[i] == pack(seed.word, components)
             node = saturation.expression(i)
             assert node == seed
             assert saturation.expression(i) is node
         for expression in expected:
-            i = saturation.index[saturation.key([expression.word] * components)]
+            i = index[pack(expression.word, components)]
             assert saturation.expression(i) == first[saturation.keys[i]]
 
 
@@ -244,8 +251,8 @@ def test_seeds_of_repeated_abstractions() -> None:
     saturation = saturate(automaton, 1, DEFAULT_CAP)
     assert saturation.sources[:2] == [None, "b"]
     closure = markov_monoid(automaton)
-    assert closure.expression(letter_expr(automaton, "i").word) == epsilon_expr(2)
-    assert closure.expression(letter_expr(automaton, "c").word).render() == "b"
+    assert closure.provenance[letter_expr(automaton, "i").word] == epsilon_expr(2)
+    assert closure.provenance[letter_expr(automaton, "c").word].render() == "b"
 
 
 def test_expression_of_an_element_outside_the_closure_is_a_key_error() -> None:
@@ -262,9 +269,9 @@ def test_expression_of_an_element_outside_the_closure_is_a_key_error() -> None:
     assert outside
     for pair in outside:
         with pytest.raises(KeyError):
-            extended.expression(pair)
+            extended.provenance[pair]
     with pytest.raises(KeyError):
-        closure.expression(LimitWord.identity(len(automaton.states) + 1))
+        closure.provenance[LimitWord.identity(len(automaton.states) + 1)]
 
 
 # ---------------------------------------------------------------------------

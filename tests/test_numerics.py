@@ -222,6 +222,33 @@ def test_consistency_rejects_an_element_of_another_dimension() -> None:
         check_consistency(a, markov_monoid(other), 3)
 
 
+@pytest.mark.parametrize("states,other_states", [(2, 3), (3, 2)])
+def test_both_checks_reject_a_closure_of_another_dimension(
+    states: int, other_states: int
+) -> None:
+    # Both automata are leaktight, so the lower-bound check gets past its
+    # leak precondition to the dimension.
+    seeds = {2: 1, 3: 2}
+    a = random_automaton(random.Random(seeds[states]), states=states, letters=2)
+    b = random_automaton(random.Random(seeds[other_states]), states=other_states, letters=2)
+    plain, extended = markov_monoid(b), extended_markov_monoid(b)
+    checks = (
+        lambda n: check_consistency(a, plain, n),
+        lambda n: check_lower_bound(a, extended, n),
+    )
+    for check in checks:
+        with pytest.raises(ValidationError) as raised:
+            check(2)
+        assert str(raised.value) == "report must cover every state pair"
+        # n is checked first.
+        with pytest.raises(ValidationError) as raised:
+            check(0)
+        assert str(raised.value) == "n must be at least 1"
+    # The thresholds are checked before n.
+    with pytest.raises(ValidationError, match="^zero_eps must be in"):
+        check_consistency(a, plain, 0, zero_eps=F(1))
+
+
 def _lower_bound(reports) -> list[tuple]:
     """Every report field, and each entry's (s, t, measured, ok)."""
     assert all(e.claimed == 1 for report in reports for e in report.entries)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction as F
 
@@ -20,9 +22,10 @@ from leaktight import (
     sharp_interleave,
     third_simulation,
 )
-from leaktight.zoo import det1, fig1, fig3, rnd3
+from leaktight.automaton import automaton_to_json
+from leaktight.zoo import det1, fig1, fig3, hier2, rnd3, sink
 
-from .helpers import seeded_automaton
+from .helpers import corpus, seeded_automaton
 
 
 # ---------------------------------------------------------------------------
@@ -258,3 +261,53 @@ def test_third_simulation_converges_to_original() -> None:
         assert previous <= value
         previous = value
     assert target - previous < F(1, 1000)
+
+
+# ---------------------------------------------------------------------------
+# Pinned outputs
+
+# sha256 of each construction's outputs on `pinned_inputs()`, as JSON with
+# sorted keys: the reduced automaton, and for the two reductions their
+# letter descriptions, hat images and kind.
+PINNED = {
+    "basic": "0d243beb783e176c425628c908b202bd94392973461eaf0718644ac564846293",
+    "full": "e37de9c7ddecef0d5748b8678c77aff87cd02b97d2e8b68226971647dec157c7",
+    "third": "02fd44086277573ca29e3aa2b94e1c32f28d9decd121823498ecebcc3efba331",
+}
+
+
+def pinned_inputs() -> dict[str, Automaton]:
+    """The zoo's simple automata and every 25th corpus member."""
+    inputs = {
+        "fig3": fig3(),
+        "det1": det1(),
+        "hier2": hier2(),
+        "sink": sink(),
+        "rnd3": rnd3(),
+        "fig1(1/2)": fig1(F(1, 2)),
+    }
+    for seed in corpus()[::25]:
+        inputs[f"seed{seed}"] = seeded_automaton(seed)
+    return inputs
+
+
+def reduction_document(mode: str, automaton: Automaton) -> dict:
+    if mode == "third":
+        return automaton_to_json(third_simulation(automaton))
+    out = reduce_basic(automaton) if mode == "basic" else reduce_full(automaton)
+    return {
+        "automaton": automaton_to_json(out.automaton),
+        "letter_map": dict(out.letter_map),
+        "hat": {letter: list(image) for letter, image in out.hat.items()},
+        "kind": out.kind,
+    }
+
+
+@pytest.mark.parametrize("mode", sorted(PINNED))
+def test_reduction_outputs_match_pinned_digests(mode: str) -> None:
+    document = {
+        name: reduction_document(mode, automaton)
+        for name, automaton in pinned_inputs().items()
+    }
+    text = json.dumps(document, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[mode]
