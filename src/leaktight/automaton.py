@@ -9,7 +9,8 @@ matrix is a tuple of int numerator rows over one common denominator, and a
 distribution the (state, numerator) pairs of its nonzero entries, in state
 order, over one common denominator.  Each is reduced once per product or
 step: by the lowest set bit when the denominator is a power of two, by a
-single `math.gcd` otherwise.  A step, or a product by a letter, runs over
+single `math.gcd` otherwise, and by a shift whenever that divisor is a
+power of two.  A step, or a product by a letter, runs over
 the letter's nonzero entries.  The reduced form is unique, so it can be
 compared and hashed as it is.  The `Fraction` functions convert at the
 boundary.  Each automaton builds the scaled form of its letters once, at
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain, compress
 from operator import mul, or_
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import CapExceeded, ValidationError
 
@@ -76,12 +77,19 @@ def _divisor(entries: Iterable[int], denominator: int) -> int:
     return low & -low
 
 
+def _quotient(g: int) -> Callable[[int], int]:
+    """x ↦ x / g on the multiples of g: a right shift when g is a power of
+    two, linear in the bits, where `//` runs CPython's long division."""
+    return (g.bit_length() - 1).__rrshift__ if g & (g - 1) == 0 else g.__rfloordiv__
+
+
 def _reduced_rows(rows: list[list[int]], denominator: int) -> ScaledMatrix:
     """`rows` over `denominator`, divided by the gcd of all of them."""
     g = _divisor(chain.from_iterable(rows), denominator)
     if g == 1:
         return tuple(map(tuple, rows)), denominator
-    return tuple(tuple([x // g for x in row]) for row in rows), denominator // g
+    quotient = _quotient(g)
+    return tuple(tuple(map(quotient, row)) for row in rows), quotient(denominator)
 
 
 def unscale_matrix(matrix: ScaledMatrix) -> Matrix:
@@ -318,8 +326,8 @@ class Automaton:
         denominator *= letter_denominator
         g = _divisor(numerators, denominator)
         if g != 1:
-            numerators = [x // g for x in numerators]
-            denominator //= g
+            quotient = _quotient(g)
+            numerators, denominator = map(quotient, numerators), quotient(denominator)
         return tuple(zip(targets, numerators)), denominator
 
     def scaled_after(self, matrix: ScaledMatrix, letter: str) -> ScaledMatrix:

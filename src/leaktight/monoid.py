@@ -20,7 +20,6 @@ from typing import (
     Callable,
     Generic,
     Iterable,
-    Iterator,
     Mapping,
     Optional,
     Sequence,
@@ -125,15 +124,17 @@ DEFAULT_CAP = 2**20
 # decoded on read.  A key is decoded to its limit words the first time it
 # is read, and a back-pointer becomes an expression node, after the nodes
 # of its subterms, the first time it or a term over it is read; each node
-# carries its element's word.  Nodes are built by `Saturation.fold`, the
-# walk over back-pointers that the numeric checks take too.  Words and
-# nodes are memoised per saturation, so every read returns the same
-# objects, nothing is multiplied again, and the iterates' idempotency
+# carries its element's word.  Nodes are built by `Saturation.fold`, one
+# loop over back-pointers with a step per kind of back-pointer passed in.
+# Words and nodes are memoised per saturation, so every read returns the
+# same objects, nothing is multiplied again, and the iterates' idempotency
 # preconditions are the slot-wise squares' findings.  The decisions read
 # what they need off the keys: the value-1 witness is found on the word
 # bits, the leak witness among the marked idempotents, and only the two
-# witnesses are decoded.  The tests re-derive every word, idempotent and
-# leak with the scalar `LimitWord` operations.
+# witnesses are decoded.  The numeric checks fold the back-pointers to
+# matrices and decide on the keys' rows, so they decode nothing either.
+# The tests re-derive every word, idempotent and leak with the scalar
+# `LimitWord` operations.
 
 # Most elements one wide-int pass packs; it bounds the memory of a pass.
 _SLOTS = 256
@@ -355,13 +356,14 @@ class Saturation:
     `leaks` holds, ascending, those of the idempotents in which a state r
     recurrent in the first component has an edge r→q in the second, and
     the first has no edge q→r; it is empty for one component.
-    Nothing is decoded until it is read: `words` and `expression` decode
-    one element, each at most once, so a node read early is the very node
-    a later read returns.  `fold` is the one walk over back-pointers, on
-    an explicit stack, with a step per kind of back-pointer passed in:
-    `expression` is that walk with steps that build nodes, and the
-    oracle's checks walk it with steps that multiply matrices, so the
-    back-pointer format stays inside this module.
+    Nothing is decoded until it is read: `rows` reads an element's bits
+    off its key, and `words` and `expression` decode one element, each at
+    most once, so a node read early is the very node a later read returns.
+    `fold` is the one walk over back-pointers, on an explicit stack, with a
+    step per kind of back-pointer passed in: `expression` is that walk
+    with steps that build nodes, and the oracle's checks walk it with
+    steps that multiply matrices, so the back-pointer format stays inside
+    this module.
     """
 
     def __init__(
@@ -390,12 +392,17 @@ class Saturation:
     def __len__(self) -> int:
         return len(self.keys)
 
+    def rows(self, i: int) -> tuple[int, ...]:
+        """Element i's rows, read off its key: each component's n rows in
+        turn, row s's bit t set for the edge s→t.  Nothing is decoded."""
+        key, full = self.keys[i], self._full
+        return tuple([(key >> shift) & full for shift in self._shifts])
+
     def words(self, i: int) -> tuple[LimitWord, ...]:
         """Element i's components, as validated limit words."""
         words = self._words[i]
         if words is None:
-            key, n, full = self.keys[i], self._n, self._full
-            rows = tuple([(key >> shift) & full for shift in self._shifts])
+            rows, n = self.rows(i), self._n
             words = tuple([LimitWord(n, rows[span]) for span in self._spans])
             self._words[i] = words
         return words
@@ -485,8 +492,7 @@ class Closure(Generic[E]):
     iterate-nesting height in `heights`.  A closure is read off a
     `Saturation`: the saturation's elements at `indices` (all of them by
     default), ascending.  Each field is decoded when it is first read, in
-    discovery order; `len`, `max_height` and `walk` build neither of the
-    two maps.
+    discovery order; `len` and `max_height` decode nothing.
     """
 
     def __init__(
@@ -526,24 +532,6 @@ class Closure(Generic[E]):
     def max_height(self) -> int:
         # Heights never fall in discovery order, and the indices ascend.
         return self._saturation.heights[self._indices[-1]]
-
-    def walk(
-        self,
-        identity: Callable[[int], V],
-        letter: Callable[[int, str], V],
-        product: Callable[[int, V, V, Optional[str]], V],
-        iterate: Callable[[int, V], V],
-    ) -> Iterator[tuple[E, SharpExpression, V]]:
-        """Each element in discovery order, with its expression and its
-        value, computed when the element is reached by `Saturation.fold`
-        over the back-pointers with these four steps; each value is
-        computed once per walk."""
-        saturation = self._saturation
-        values: list = [None] * len(saturation)
-        fold, expression = saturation.fold, saturation.expression
-        for i, element in zip(self._indices, self.elements):
-            value = fold(i, values, identity, letter, product, iterate)
-            yield element, expression(i), value
 
 
 class MonoidClosure(Closure[LimitWord]):

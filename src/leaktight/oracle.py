@@ -10,17 +10,22 @@ back-pointers its saturation stores, not on its expressions: each saturated
 element is an earlier one times one generator, an iterate, a letter or the
 identity, so its matrix is one product (by the letter's nonzero entries
 when the generator is a letter), one power, or a letter's matrix, computed
-once per check in discovery order by `Closure.walk`.  Neither builds the
-closure's provenance or heights map, and each report carries the very node
+once per check in discovery order by `Saturation.fold`, which counts each
+element's depth on the same back-pointers.  Both checks decide on the
+reified word's scaled matrix and on the rows of the element's key, the
+word's for the claims and, in the lower bound, the support's, comparing
+int numerators against their thresholds; they decode no element and build
+no expression node.  Each report holds the closure and the element's
+index, and decodes its `element` and `expression` when first read, through
+the saturation's memo, so its expression is the very node
 `provenance[element]` returns.  `expression_matrix` evaluates any
 expression node by node; its memo is keyed by node identity and holds each
-node it keys, so no id is reused while the memo lives.  Both checks decide
-on the reified word's scaled matrix, comparing int numerators against
-their thresholds.  `check_consistency` checks the two thresholds on their
-numerators and denominators, scales them to each matrix's denominator, and
-decides each element's verdict in one loop that stops at the first failing
-entry; its report makes the per-entry `EntryCheck`s only when they are
-read.  A lower-bound report holds one `EntryCheck` per claimed edge.
+node it keys, so no id is reused while the memo lives.
+`check_consistency` checks the two thresholds on their numerators and
+denominators, scales them to each matrix's denominator, and decides each
+element's verdict in one loop that stops at the first failing entry; its
+report makes the per-entry `EntryCheck`s only when they are read.  A
+lower-bound report holds one `EntryCheck` per claimed edge.
 """
 
 from __future__ import annotations
@@ -447,32 +452,43 @@ def expression_matrix(
 
 def _reified(
     automaton: Automaton, closure: Closure, n: int
-) -> Iterator[tuple[object, SharpExpression, ScaledMatrix]]:
-    """Each element of the closure in discovery order, with its expression
-    and the scaled matrix of that expression reified at n, computed from
-    its back-pointer: a product is its factors' product, by the letter's
-    nonzero entries when the right factor is a letter, and an iterate its
-    body's matrix to the power g(n).  The closure must be over the
-    automaton's states."""
+) -> Iterator[tuple[int, ScaledMatrix, int]]:
+    """Each element of the closure in discovery order, as its index in the
+    saturation, the scaled matrix of its expression reified at n, and its
+    depth, computed from its back-pointer by `Saturation.fold`: a product
+    is its factors' product, by the letter's nonzero entries when the right
+    factor is a letter, one level over the deeper factor; an iterate is its
+    body's matrix to the power g(n), one level over the body; a letter and
+    the identity are their own matrices, at depth 0.  The closure must be
+    over the automaton's states."""
     if n < 1:
         raise ValidationError("n must be at least 1")
     dim = len(automaton.states)
     if len(closure.automaton.states) != dim:
         raise ValidationError("report must cover every state pair")
-    one = scaled_identity(dim)
+    one = scaled_identity(dim), 0
     g = n * math.factorial(dim)
+    after, letter_matrix = automaton.scaled_after, automaton.scaled_matrix
 
-    def product(j: int, left, right, by: Optional[str]) -> ScaledMatrix:
+    def letter(j: int, name: str) -> tuple[ScaledMatrix, int]:
+        return letter_matrix(name), 0
+
+    def product(j: int, left, right, by: Optional[str]) -> tuple[ScaledMatrix, int]:
+        depth = 1 + max(left[1], right[1])
         if by is None:
-            return scaled_product(left, right)
-        return automaton.scaled_after(left, by)
+            return scaled_product(left[0], right[0]), depth
+        return after(left[0], by), depth
 
-    return closure.walk(
-        lambda j: one,
-        lambda j, name: automaton.scaled_matrix(name),
-        product,
-        lambda j, body: scaled_power(body, g),
-    )
+    def iterate(j: int, body) -> tuple[ScaledMatrix, int]:
+        return scaled_power(body[0], g), 1 + body[1]
+
+    saturation = closure._saturation
+    values: list = [None] * len(saturation)
+    for i in closure._indices:
+        matrix, depth = saturation.fold(
+            i, values, lambda j: one, letter, product, iterate
+        )
+        yield i, matrix, depth
 
 
 # ---------------------------------------------------------------------------
@@ -495,19 +511,63 @@ class EntryCheck:
         return Fraction(self.numerator, self.denominator)
 
 
-@dataclass(frozen=True)
-class ReificationReport:
+@dataclass(frozen=True, eq=False, repr=False)
+class _ElementReport:
+    """A check's report on the element at `index` of `closure`'s saturation.
+
+    `element` and `expression` are decoded when first read, through the
+    saturation's memo, so `expression` is the node `closure.provenance`
+    maps `element` to.  `==`, `hash` and `repr` read the public attributes
+    named in `_PUBLIC`, in order, as a dataclass with those fields would.
+    """
+
+    _PUBLIC = ("element", "expression")
+
+    closure: Closure
+    index: int
+
+    @functools.cached_property
+    def element(self) -> Union[LimitWord, ExtendedLimitWord]:
+        return self.closure._wrap(self.closure._saturation.words(self.index))
+
+    def _expression(self) -> SharpExpression:
+        return self.closure._saturation.expression(self.index)
+
+    # Bound apart from its function's name: a method named `expression`
+    # that reads `.expression` would look recursive to the hygiene tests.
+    expression = functools.cached_property(_expression)
+
+    def _public(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._PUBLIC])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._public() == other._public()
+
+    def __hash__(self) -> int:
+        return hash(self._public())
+
+    def __repr__(self) -> str:
+        fields = zip(self._PUBLIC, self._public())
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class ReificationReport(_ElementReport):
     """Thresholded comparison of one element against its reified expression.
 
     `matrix` is the exact scaled matrix of the reified word, and `ok` the
     verdict `check_consistency` decided on it: every entry claimed 0 is at
     most `zero_eps` and every entry claimed 1 at least `one_delta`.  The
     per-entry `EntryCheck`s, row-major, are built when `entries` is first
-    read, by the same integer rule as the verdict.
+    read, by the same integer rule as the verdict, on the key's rows.
     """
 
-    element: LimitWord
-    expression: SharpExpression
+    _PUBLIC = (
+        "element", "expression", "n", "matrix", "zero_eps", "one_delta", "ok"
+    )
+
     n: int
     matrix: ScaledMatrix
     zero_eps: Fraction
@@ -521,8 +581,9 @@ class ReificationReport:
         zero_max, one_min = _bounds(
             eps.numerator, eps.denominator, delta.numerator, delta.denominator, denominator
         )
+        claims = self.closure._saturation.rows(self.index)
         checks = []
-        for s, (bits, row) in enumerate(zip(self.element.rows, rows)):
+        for s, (bits, row) in enumerate(zip(claims, rows)):
             for t, x in enumerate(row):
                 claimed = bits >> t & 1
                 ok = x >= one_min if claimed else x <= zero_max
@@ -598,21 +659,13 @@ def check_consistency(
     e, f, d, g = validate_thresholds(zero_eps, one_delta)
     eps = zero_eps if type(zero_eps) is Fraction else Fraction(e, f)
     delta = one_delta if type(one_delta) is Fraction else Fraction(d, g)
+    saturation = closure._saturation
     reports = []
-    for element, expression, matrix in _reified(automaton, closure, n):
+    for i, matrix, _ in _reified(automaton, closure, n):
         rows, denominator = matrix
         zero_max, one_min = _bounds(e, f, d, g, denominator)
-        reports.append(
-            ReificationReport(
-                element=element,
-                expression=expression,
-                n=n,
-                matrix=matrix,
-                zero_eps=eps,
-                one_delta=delta,
-                ok=_passes(element.rows, rows, zero_max, one_min),
-            )
-        )
+        ok = _passes(saturation.rows(i), rows, zero_max, one_min)
+        reports.append(ReificationReport(closure, i, n, matrix, eps, delta, ok))
     return reports
 
 
@@ -620,18 +673,20 @@ def check_consistency(
 # Lower bound: supports exactly, positive entries not too small
 
 
-@dataclass(frozen=True)
-class LowerBoundReport:
+@dataclass(frozen=True, eq=False, repr=False)
+class LowerBoundReport(_ElementReport):
     """Support and lower-bound check of one extended element.
 
-    `entries` holds one `EntryCheck` (with `claimed == 1`) per edge the
-    limit word claims, row-major; each was decided on ints against
-    p_min^(2^depth).  `ok` holds when the support is exact and every entry
-    passes.
+    `depth` is its expression's, counted on the back-pointers.  `entries`
+    holds one `EntryCheck` (with `claimed == 1`) per edge the limit word
+    claims, row-major; each was decided on ints against p_min^(2^depth).
+    `ok` holds when the support is exact and every entry passes.
     """
 
-    element: ExtendedLimitWord
-    expression: SharpExpression
+    _PUBLIC = (
+        "element", "expression", "n", "depth", "support_exact", "entries", "ok"
+    )
+
     n: int
     depth: int
     support_exact: bool
@@ -655,21 +710,26 @@ def check_lower_bound(
     once per exponent in the call, and an exponent past `EXPONENT_CAP`
     raises CapExceeded at the first entry that needs it.
     """
+    if not isinstance(closure, ExtendedClosure):
+        raise ValidationError("check_lower_bound needs an extended closure")
     if find_leak_witness(closure) is not None:
         raise ValidationError("precondition violation: leak witness present")
     p_min = automaton.min_transition_probability
     p, q = p_min.numerator, p_min.denominator
     # (q^exponent, p^exponent) per exponent compared so far.
     powers: dict[int, tuple[int, int]] = {}
+    saturation = closure._saturation
+    dim = len(automaton.states)
     reports = []
-    for element, expression, (rows, denominator) in _reified(automaton, closure, n):
+    for i, (rows, denominator), depth in _reified(automaton, closure, n):
+        # The word's rows, then the support's.
+        claims = saturation.rows(i)
         support = tuple(
             sum(1 << t for t, x in enumerate(row) if x) for row in rows
         )
-        depth = expression.depth
         exponent = 2**depth
         entries, passed = [], True
-        for s, (bits, row) in enumerate(zip(element.word.rows, rows)):
+        for s, (bits, row) in enumerate(zip(claims, rows)):
             for t, x in enumerate(row):
                 if not bits >> t & 1:
                     continue
@@ -690,16 +750,10 @@ def check_lower_bound(
                     ok = x * scale[0] >= denominator * scale[1]
                 entries.append(EntryCheck(s, t, 1, x, denominator, ok))
                 passed &= ok
-        exact = support == element.support.rows
+        exact = support == claims[dim:]
         reports.append(
             LowerBoundReport(
-                element=element,
-                expression=expression,
-                n=n,
-                depth=depth,
-                support_exact=exact,
-                entries=tuple(entries),
-                ok=exact and passed,
+                closure, i, n, depth, exact, tuple(entries), exact and passed
             )
         )
     return reports

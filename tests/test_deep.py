@@ -283,6 +283,8 @@ def test_lower_bound_over_a_deep_extended_closure() -> None:
     assert len(reports) == 2310
     assert all(report.ok and report.support_exact for report in reports)
     assert max(report.depth for report in reports) > 2000
+    # Counted on the back-pointers, without recursion, as the nodes count it.
+    assert all(report.depth == report.expression.depth for report in reports)
 
 
 def run_json(capsys, argv: list[str]) -> dict:

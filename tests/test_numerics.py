@@ -222,6 +222,16 @@ def test_consistency_rejects_an_element_of_another_dimension() -> None:
         check_consistency(a, markov_monoid(other), 3)
 
 
+def test_lower_bound_rejects_a_plain_closure() -> None:
+    # A plain closure's keys hold no support rows to check against.
+    a = fig3()
+    extended = extended_markov_monoid(a)
+    for closure in (markov_monoid(a), extended.plain_closure()):
+        with pytest.raises(ValidationError) as raised:
+            check_lower_bound(a, closure)
+        assert str(raised.value) == "check_lower_bound needs an extended closure"
+
+
 @pytest.mark.parametrize("states,other_states", [(2, 3), (3, 2)])
 def test_both_checks_reject_a_closure_of_another_dimension(
     states: int, other_states: int
@@ -252,6 +262,8 @@ def test_both_checks_reject_a_closure_of_another_dimension(
 def _lower_bound(reports) -> list[tuple]:
     """Every report field, and each entry's (s, t, measured, ok)."""
     assert all(e.claimed == 1 for report in reports for e in report.entries)
+    # The depth counted on the back-pointers is the expression's.
+    assert all(report.depth == report.expression.depth for report in reports)
     return [
         (
             report.depth,
@@ -395,7 +407,11 @@ def test_checks_read_no_provenance_map_and_report_its_nodes() -> None:
             pairs.append((extended, check_lower_bound))
         for closure, check in pairs:
             reports = check(a, closure, 2)
-            assert not {"provenance", "heights"} & vars(closure).keys(), seed
+            # Verdicts are decided on the keys: nothing is decoded until read.
+            saturation = closure._saturation
+            assert saturation._words == [None] * len(saturation), seed
+            assert saturation._nodes == [None] * len(saturation), seed
+            assert not {"elements", "provenance", "heights"} & vars(closure).keys()
             assert [report.element for report in reports] == list(closure.elements)
             for report in reports:
                 assert report.expression is closure.provenance[report.element]
@@ -811,8 +827,8 @@ def test_left_to_right_powers_match_right_to_left_reference(inputs) -> None:
 def test_left_to_right_powers_match_reference_on_iterate_bodies(
     seed, monkeypatch
 ) -> None:
-    # These two bodies, of about 290 bits, raised to the 144th power take
-    # most of `check_consistency` at n = 6 on the corpus.
+    # These two bodies, of about 290 bits, raised to the 144th power, are
+    # the largest powers `check_consistency` takes at n = 6 on the corpus.
     taken = []
     power = oracle.scaled_power
 
