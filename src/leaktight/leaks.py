@@ -134,14 +134,17 @@ def find_leak_witness(closure: ExtendedClosure) -> Optional[LeakWitness]:
     their keys.  The least of them in row-major bit order, the order of
     `ExtendedLimitWord.sort_key`, is the only pair decoded, and its (r, q)
     is found on the decoded words; `recurrent_states` squares the word
-    once more, as the precondition its public contract checks.
+    once more, as the precondition its public contract checks.  Any
+    closure but an `ExtendedClosure` raises ValidationError: a plain
+    closure has no supports to leak through, and one derived by
+    `plain_closure` shares its saturation's marks with pairs outside it.
     """
+    if not isinstance(closure, ExtendedClosure):
+        raise ValidationError("find_leak_witness needs an extended closure")
     saturation = closure._saturation
     if not saturation.leaks:
         return None
-    bits = 2 * len(closure.automaton.states) ** 2
-    keys = saturation.keys
-    i = _least_row_major(saturation.leaks, keys, bits)
+    i = _least_row_major(saturation.leaks, saturation.keys)
     pair = ExtendedLimitWord(*saturation.words(i))
     word, support = pair.word, pair.support
     r, q = next(

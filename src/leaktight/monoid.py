@@ -112,12 +112,13 @@ DEFAULT_CAP = 2**20
 # slot-wise square of its elements, whose right operand differs from slot
 # to slot: term m ANDs the fields of the rows that contain column m (a
 # mask times `full`) with row m of each component, copied into every row
-# of that component (times `spread`).  A second pass, over the layer's
-# idempotents alone, reuses those terms on the diagonal of the first
-# component: state s is not recurrent when some term has s→m but not m→s,
-# and a recurrent s leaks when the second component has s→m and the first
-# lacks m→s.  It yields each idempotent's iterate, which keeps only the
-# columns of the recurrent states, and marks the idempotents that leak.
+# of that component (times `spread`).  A second pass repacks the layer's
+# idempotents alone and computes the same terms again, on the diagonal of
+# the first component: state s is not recurrent when some term has s→m
+# but not m→s, and a recurrent s leaks when the second component has s→m
+# and the first lacks m→s.  It yields each idempotent's iterate, which
+# keeps only the columns of the recurrent states, and marks the
+# idempotents that leak.
 #
 # Provenance is kept as back-pointers, (p, g) for a product, i for an
 # iterate, a letter's name for a letter and None for the identity, and is
@@ -584,22 +585,22 @@ def _value1_witness_index(closure: MonoidClosure) -> Optional[int]:
     outside = ((1 << n) - 1) & ~_final_mask(automaton)
     keys = saturation.keys
     found = [i for i in closure._indices if not keys[i] >> start & outside]
-    return _least_row_major(found, keys, n * n) if found else None
+    # The found elements' words are distinct, so the least whole key, with
+    # an extended pair's support bits above its word's, has the least word.
+    return _least_row_major(found, keys) if found else None
 
 
-def _least_row_major(indices: Sequence[int], keys: Sequence[int], bits: int) -> int:
-    """The first of `indices` whose key's low `bits` bits are least in
-    row-major bit order.
+def _least_row_major(indices: Sequence[int], keys: Sequence[int]) -> int:
+    """The first of `indices` whose key is least in row-major bit order.
 
     Row-major bit order, the order of `LimitWord.sort_key` and of
     `ExtendedLimitWord.sort_key`, reads the bits from bit 0 up, so of two
     keys the one with a 0 at their lowest differing bit is the smaller.
     """
-    mask = (1 << bits) - 1
     best = indices[0]
-    least = keys[best] & mask
+    least = keys[best]
     for i in indices[1:]:
-        key = keys[i] & mask
+        key = keys[i]
         diff = key ^ least
         if least & diff & -diff:  # the lowest differing bit is set in `least`
             best, least = i, key

@@ -15,12 +15,14 @@ element's depth on the same back-pointers.  Both checks decide on the
 reified word's scaled matrix and on the rows of the element's key, the
 word's for the claims and, in the lower bound, the support's, comparing
 int numerators against their thresholds; they decode no element and build
-no expression node.  Each report holds the closure and the element's
-index, and decodes its `element` and `expression` when first read, through
-the saturation's memo, so its expression is the very node
+no expression node.  Each report is a plain record of the closure, the
+element's index and the check's findings: it equals only itself, its
+`repr` leaves out the closure, and its `element` and `expression` are read
+through the saturation's memo, so its expression is the very node
 `provenance[element]` returns.  `expression_matrix` evaluates any
-expression node by node; its memo is keyed by node identity and holds each
-node it keys, so no id is reused while the memo lives.
+expression node by node; its memo belongs to the automaton it was first
+used with, is keyed by node identity and holds each node it keys, so no
+id is reused while the memo lives.
 `check_consistency` checks the two thresholds on their numerators and
 denominators, scales them to each matrix's denominator, and decides each
 element's verdict in one loop that stops at the first failing entry; its
@@ -34,7 +36,7 @@ import functools
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
@@ -48,7 +50,7 @@ from .automaton import (
     unscale_matrix,
 )
 from .errors import CapExceeded, ValidationError
-from .leaks import ExtendedClosure, ExtendedLimitWord, find_leak_witness
+from .leaks import ExtendedClosure, ExtendedLimitWord
 from .limitword import LimitWord
 from .monoid import Closure, MonoidClosure
 from .sharpexpr import Concat, Iterate, Letter, SharpExpression, TreeNode
@@ -354,16 +356,20 @@ def evaluate_family_at(
     automaton: Automaton,
     family: WordFamily,
     bindings: Optional[Mapping[str, int]] = None,
-    memo: Optional[dict] = None,
 ) -> Fraction:
     """Exact acceptance probability of one instantiation of the family."""
-    bindings = {} if bindings is None else bindings
+    return _family_value(automaton, family, {} if bindings is None else bindings, {})
+
+
+def _family_value(
+    automaton: Automaton, family: WordFamily, bindings: Mapping[str, int], memo: dict
+) -> Fraction:
+    """`evaluate_family_at`, sharing `memo` with the automaton's other
+    instantiations of the family."""
     missing = family.parameters() - set(bindings)
     if missing:
         raise ValidationError(f"unbound parameter {sorted(missing)[0]!r}")
-    rows, denominator = _family_matrix(
-        automaton, family.template, bindings, {} if memo is None else memo
-    )
+    rows, denominator = _family_matrix(automaton, family.template, bindings, memo)
     row = rows[automaton.state_index[automaton.initial]]
     return Fraction(sum(row[f] for f in automaton.final_indices), denominator)
 
@@ -383,7 +389,7 @@ def evaluate_family(
     table: dict[tuple[tuple[str, int], ...], Fraction] = {}
     for values in itertools.product(*(grid[name] for name in names)):
         point = tuple(zip(names, values))
-        table[point] = evaluate_family_at(automaton, family, dict(point), memo)
+        table[point] = _family_value(automaton, family, dict(point), memo)
     return table
 
 
@@ -427,16 +433,22 @@ def expression_matrix(
     """The exact transition matrix of reify(expression, n), without the word.
 
     Structural evaluation with fast matrix powers: each node is computed
-    once per n via the memo, which may be shared across calls.  The memo
-    maps n to a table keyed by node identity that holds the node with its
-    scaled matrix (`automaton.ScaledMatrix`), so a node's id cannot be
-    reused while the memo lives.  Equal nodes that are distinct objects,
-    such as the results of two `parse_expression` calls, are each evaluated
-    once; closure provenance shares its nodes, so there every repeat is found.
+    once per n via the memo, which may be shared across calls on the
+    automaton it was first used with, and raises ValidationError on any
+    other.  The memo holds that automaton under the key None, and maps n
+    to a table keyed by node identity that holds the node with its scaled
+    matrix (`automaton.ScaledMatrix`), so a node's id cannot be reused
+    while the memo lives.  Equal nodes that are distinct objects, such as
+    the results of two `parse_expression` calls, are each evaluated once;
+    closure provenance shares its nodes, so there every repeat is found.
     """
     if n < 1:
         raise ValidationError("n must be at least 1")
-    table = {} if memo is None else memo.setdefault(n, {})
+    table: dict = {}
+    if memo is not None:
+        if memo.setdefault(None, automaton) is not automaton:
+            raise ValidationError("expression_matrix memo is another automaton's")
+        table = memo.setdefault(n, {})
 
     def matrix(node: SharpExpression, values: list[ScaledMatrix]) -> ScaledMatrix:
         if isinstance(node, Concat):
@@ -511,49 +523,38 @@ class EntryCheck:
         return Fraction(self.numerator, self.denominator)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+def _node(closure: Closure, i: int) -> SharpExpression:
+    """The expression of element i of `closure`'s saturation, from its memo.
+
+    Apart from `_ElementReport.expression`, whose body would otherwise read
+    `.expression` and look recursive to the hygiene tests."""
+    return closure._saturation.expression(i)
+
+
+@dataclass(frozen=True, eq=False)
 class _ElementReport:
     """A check's report on the element at `index` of `closure`'s saturation.
 
-    `element` and `expression` are decoded when first read, through the
-    saturation's memo, so `expression` is the node `closure.provenance`
-    maps `element` to.  `==`, `hash` and `repr` read the public attributes
-    named in `_PUBLIC`, in order, as a dataclass with those fields would.
+    A report is a plain record: it equals only itself, and its `repr`
+    leaves out the closure.  `element` and `expression` are read through
+    the saturation's memo, which decodes each word and builds each node at
+    most once, so `expression` is the node `closure.provenance` maps
+    `element` to.
     """
 
-    _PUBLIC = ("element", "expression")
-
-    closure: Closure
+    closure: Closure = field(repr=False)
     index: int
 
-    @functools.cached_property
+    @property
     def element(self) -> Union[LimitWord, ExtendedLimitWord]:
         return self.closure._wrap(self.closure._saturation.words(self.index))
 
-    def _expression(self) -> SharpExpression:
-        return self.closure._saturation.expression(self.index)
-
-    # Bound apart from its function's name: a method named `expression`
-    # that reads `.expression` would look recursive to the hygiene tests.
-    expression = functools.cached_property(_expression)
-
-    def _public(self) -> tuple:
-        return tuple([getattr(self, name) for name in self._PUBLIC])
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._public() == other._public()
-
-    def __hash__(self) -> int:
-        return hash(self._public())
-
-    def __repr__(self) -> str:
-        fields = zip(self._PUBLIC, self._public())
-        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in fields)})"
+    @property
+    def expression(self) -> SharpExpression:
+        return _node(self.closure, self.index)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class ReificationReport(_ElementReport):
     """Thresholded comparison of one element against its reified expression.
 
@@ -563,10 +564,6 @@ class ReificationReport(_ElementReport):
     per-entry `EntryCheck`s, row-major, are built when `entries` is first
     read, by the same integer rule as the verdict, on the key's rows.
     """
-
-    _PUBLIC = (
-        "element", "expression", "n", "matrix", "zero_eps", "one_delta", "ok"
-    )
 
     n: int
     matrix: ScaledMatrix
@@ -673,7 +670,7 @@ def check_consistency(
 # Lower bound: supports exactly, positive entries not too small
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False)
 class LowerBoundReport(_ElementReport):
     """Support and lower-bound check of one extended element.
 
@@ -682,10 +679,6 @@ class LowerBoundReport(_ElementReport):
     claims, row-major; each was decided on ints against p_min^(2^depth).
     `ok` holds when the support is exact and every entry passes.
     """
-
-    _PUBLIC = (
-        "element", "expression", "n", "depth", "support_exact", "entries", "ok"
-    )
 
     n: int
     depth: int
@@ -712,7 +705,7 @@ def check_lower_bound(
     """
     if not isinstance(closure, ExtendedClosure):
         raise ValidationError("check_lower_bound needs an extended closure")
-    if find_leak_witness(closure) is not None:
+    if closure._saturation.leaks:
         raise ValidationError("precondition violation: leak witness present")
     p_min = automaton.min_transition_probability
     p, q = p_min.numerator, p_min.denominator

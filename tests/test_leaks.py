@@ -161,6 +161,18 @@ def test_leak_witness_is_stable_across_probabilities() -> None:
     assert len(found) == 1
 
 
+def test_leak_witness_needs_an_extended_closure() -> None:
+    # A plain closure has no supports, and one derived from the extended
+    # closure shares its saturation's leaks with pairs outside it.
+    a = fig1(F(1, 2))
+    extended = extended_markov_monoid(a)
+    assert find_leak_witness(extended) is not None
+    for closure in (markov_monoid(a), extended.plain_closure()):
+        with pytest.raises(ValidationError) as raised:
+            find_leak_witness(closure)
+        assert str(raised.value) == "find_leak_witness needs an extended closure"
+
+
 def test_leak_conditions_hold_on_any_reported_witness() -> None:
     for seed in range(120):
         ext = seeded_extended(seed)

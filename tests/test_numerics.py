@@ -31,6 +31,7 @@ from leaktight import (
     evaluate_family_at,
     expression_matrix,
     extended_markov_monoid,
+    family_word,
     find_leak_witness,
     is_deterministic,
     letter_abstraction,
@@ -352,6 +353,23 @@ def test_shared_memo_is_safe_across_dropped_expressions() -> None:
                 gc.collect()
 
 
+def test_shared_memo_refuses_another_automaton() -> None:
+    # Same supports, different probabilities: a memo keyed by node alone
+    # returned rnd3's matrices for its perturbation.
+    a = rnd3()
+    b = perturb(5, a)
+    memo: dict = {}
+    for text in ("a", "a b", "b a b"):
+        expression = parse_expression(text, a)
+        word = reify(expression, 2)
+        assert a.word_matrix(word) != b.word_matrix(word), text
+        assert expression_matrix(a, expression, 2, memo) == a.word_matrix(word)
+        with pytest.raises(ValidationError) as raised:
+            expression_matrix(b, expression, 2, memo)
+        assert str(raised.value) == "expression_matrix memo is another automaton's"
+        assert expression_matrix(b, expression, 2) == b.word_matrix(word), text
+
+
 def test_consistency_verdict_agrees_with_entries_built_when_read() -> None:
     for seed in corpus():
         a, closure = seeded_automaton(seed), seeded_closure(seed)
@@ -407,11 +425,18 @@ def test_checks_read_no_provenance_map_and_report_its_nodes() -> None:
             pairs.append((extended, check_lower_bound))
         for closure, check in pairs:
             reports = check(a, closure, 2)
+            # A report's repr shows its index and findings, not the closure.
+            texts = [repr(report) for report in reports]
+            assert not any(repr(closure) in text for text in texts), seed
+            assert not any("closure=" in text for text in texts), seed
             # Verdicts are decided on the keys: nothing is decoded until read.
             saturation = closure._saturation
             assert saturation._words == [None] * len(saturation), seed
             assert saturation._nodes == [None] * len(saturation), seed
             assert not {"elements", "provenance", "heights"} & vars(closure).keys()
+            # Reports compare by identity: a copy field for field differs.
+            for report in reports:
+                assert report == report and dataclasses.replace(report) != report
             assert [report.element for report in reports] == list(closure.elements)
             for report in reports:
                 assert report.expression is closure.provenance[report.element]
@@ -466,6 +491,20 @@ def test_family_values_match_reference(build, template, bindings) -> None:
     assert evaluate_family_at(a, family, bindings) == ref.evaluate_family_at(
         a, family, bindings
     )
+
+
+def test_family_values_share_no_memo_across_automata() -> None:
+    # Same supports, different probabilities: a memo keyed by node and
+    # bindings alone, shared between the two, read 21/64 for both.
+    a = rnd3()
+    b = perturb(5, a)
+    family = parse_family("(a b)^n")
+    with pytest.raises(TypeError):
+        evaluate_family_at(a, family, {"n": 3}, {})
+    assert evaluate_family_at(a, family, {"n": 3}) == F(21, 64)
+    assert evaluate_family_at(b, family, {"n": 3}) == F(45855, 140608)
+    word = family_word(family, {"n": 3})
+    assert b.acceptance_probability(word) == F(45855, 140608)
 
 
 # ---------------------------------------------------------------------------
