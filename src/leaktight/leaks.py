@@ -95,15 +95,11 @@ class ExtendedClosure(Closure[ExtendedLimitWord]):
 
         Each word keeps the height and the expression of its first pair in
         discovery order; heights never fall in that order, so this is the
-        word's least height.  The first pairs are found on the keys' word
-        bits, and nothing is decoded.
+        word's least height.  The first pairs are found by
+        `Saturation.first_words`, on the keys, and nothing is decoded.
         """
         saturation = self._saturation
-        n = len(self.automaton.states)
-        words = [key & ((1 << n * n) - 1) for key in saturation.keys]
-        # Filled from the last pair back, so each word keeps its first pair.
-        firsts = dict(zip(reversed(words), range(len(words) - 1, -1, -1)))
-        return MonoidClosure(saturation, sorted(firsts.values()))
+        return MonoidClosure(saturation, saturation.first_words())
 
 
 def extended_markov_monoid(

@@ -112,13 +112,13 @@ DEFAULT_CAP = 2**20
 # slot-wise square of its elements, whose right operand differs from slot
 # to slot: term m ANDs the fields of the rows that contain column m (a
 # mask times `full`) with row m of each component, copied into every row
-# of that component (times `spread`).  A second pass repacks the layer's
-# idempotents alone and computes the same terms again, on the diagonal of
-# the first component: state s is not recurrent when some term has s→m
-# but not m→s, and a recurrent s leaks when the second component has s→m
-# and the first lacks m→s.  It yields each idempotent's iterate, which
-# keeps only the columns of the recurrent states, and marks the
-# idempotents that leak.
+# of that component (times `spread`).  The same two terms, read on the
+# diagonal of the first component, give recurrence and leaks: state s is
+# not recurrent when some term has s→m but not m→s, and a recurrent s
+# leaks when the second component has s→m and the first lacks m→s.  So
+# the one pass also yields each idempotent's iterate, which keeps only
+# the columns of the recurrent states, and marks the idempotents that
+# leak.
 #
 # Provenance is kept as back-pointers, (p, g) for a product, i for an
 # iterate, a letter's name for a letter and None for the identity, and is
@@ -199,17 +199,13 @@ def saturate(
         heights.append(height)
         packed.extend(key.to_bytes(width, "little"))
 
-    def slot_ones(count: int) -> int:
-        """The wide int with 1 in each of `count` slots."""
-        return int.from_bytes((1).to_bytes(width, "little") * count, "little")
-
     def frontier(start: int, end: int) -> tuple[int, int]:
         """keys[start:end] packed into one wide int, one key per slot, and
         the wide int with 1 in each of those slots."""
         if end - start == 1:
             return keys[start], 1
-        ones = slot_ones(end - start)
-        return int.from_bytes(packed[start * width : end * width], "little"), ones
+        x = int.from_bytes(packed[start * width : end * width], "little")
+        return x, int.from_bytes((1).to_bytes(width, "little") * (end - start), "little")
 
     def unpack(values: list[int], count: int) -> list[int]:
         """The `count` slots of each wide int in turn, lowest slot first."""
@@ -272,56 +268,40 @@ def saturate(
                     add(xg, (pointer + i % count, meets[i // count][0]), height)
             pointer = end
 
-    def idempotents(start: int, end: int) -> list[int]:
-        """The indices of the idempotents among keys[start:end]."""
+    def idempotents(start: int, end: int) -> tuple[list[int], list[int]]:
+        """The indices of the idempotents among keys[start:end], in order,
+        and their iterates; those of the idempotents that leak are appended
+        to `leaks`.  Term m of the square ANDs `rows` (each row s with an
+        edge s→m, made whole) with `row` (row m, copied into every row).
+        On the first component's diagonal, `rows` without `row` marks the
+        states that are not recurrent, and the second component's `rows`,
+        shifted one component down, without `row` marks the leaks."""
         found: list[int] = []
+        iterates: list[int] = []
         for lo in range(start, end, _SLOTS):
-            hi = min(lo + _SLOTS, end)
-            x, ones = frontier(lo, hi)
+            count = min(_SLOTS, end - lo)
+            x, ones = frontier(lo, lo + count)
             kept, firsts = every_row * ones, first_rows * ones
-            square = 0
+            square = nonrecurrent = leaking = 0
             for m in range(n):
                 rows = ((x >> m) & kept) * full
                 row = ((x >> (m * n)) & firsts) * spread
                 square |= rows & row
-            found += compress(range(lo, hi), map(not_, unpack([square ^ x], hi - lo)))
-        return found
-
-    def recurrence(layer: list[int]) -> list[int]:
-        """The iterates of the idempotents whose indices are `layer`, in
-        order; the indices of those that leak are appended to `leaks`.
-
-        Term m of the square marks, on the diagonal of the first component,
-        each state s with an edge s→m but no edge m→s back (not recurrent),
-        and each s whose second component, one component up, has the edge
-        s→m while the first has no m→s (a leak from s, if s is recurrent).
-        """
-        iterates: list[int] = []
-        for lo in range(0, len(layer), _SLOTS):
-            chunk = layer[lo : lo + _SLOTS]
-            count = len(chunk)
-            if count == 1:
-                x, ones = keys[chunk[0]], 1
-            else:
-                data = b"".join([packed[i * width : (i + 1) * width] for i in chunk])
-                x, ones = int.from_bytes(data, "little"), slot_ones(count)
-            kept, firsts = every_row * ones, full * ones
-            nonrecurrent = leaking = 0
-            for m in range(n):
-                rows = ((x >> m) & kept) * full
-                back = ~(((x >> (m * n)) & firsts) * spread)
+                back = ~row
                 nonrecurrent |= rows & back
                 if k > 1:
                     leaking |= (rows >> n * n) & back
             recurrent = diagonal * ones & ~nonrecurrent
-            slots = unpack([recurrent, leaking & recurrent], count)
-            for i, on_diagonal in zip(chunk, slots):
+            slots = unpack([square ^ x, recurrent, leaking & recurrent], count)
+            layer = list(compress(range(count), map(not_, slots[:count])))
+            for j in layer:
                 # Diagonal bit s·(n + 1) times `spread` lands once on bit
                 # (n - 1)·n + s; its other copies fall outside that row.
-                columns = (on_diagonal * spread >> (n - 1) * n) & full
-                iterates.append(keys[i] & ~((full ^ columns) * spread))
-            leaks.extend(compress(chunk, slots[count:]))
-        return iterates
+                columns = (slots[count + j] * spread >> (n - 1) * n) & full
+                iterates.append(keys[lo + j] & ~((full ^ columns) * spread))
+            found += [lo + j for j in layer]
+            leaks.extend([lo + j for j in layer if slots[2 * count + j]])
+        return found, iterates
 
     close(0, 0)
     found: list[int] = []
@@ -329,9 +309,8 @@ def saturate(
     level, start = 0, 0
     while True:
         old = len(keys)
-        layer = idempotents(start, old)
+        layer, iterates = idempotents(start, old)
         found += layer
-        iterates = recurrence(layer)
         if level >= max_height:
             break
         for i, v in zip(layer, iterates):
@@ -358,7 +337,8 @@ class Saturation:
     recurrent in the first component has an edge r→q in the second, and
     the first has no edge q→r; it is empty for one component.
     Nothing is decoded until it is read: `rows` reads an element's bits
-    off its key, and `words` and `expression` decode one element, each at
+    off its key, `first_words` finds each distinct word's first element on
+    the keys, and `words` and `expression` decode one element, each at
     most once, so a node read early is the very node a later read returns.
     `fold` is the one walk over back-pointers, on an explicit stack, with a
     step per kind of back-pointer passed in: `expression` is that walk
@@ -392,6 +372,15 @@ class Saturation:
 
     def __len__(self) -> int:
         return len(self.keys)
+
+    def first_words(self) -> list[int]:
+        """The index of the first element with each distinct first
+        component, ascending, found on the keys' word bits."""
+        n = self._n
+        words = [key & ((1 << n * n) - 1) for key in self.keys]
+        # Filled from the last element back, so each word keeps its first.
+        firsts = dict(zip(reversed(words), range(len(words) - 1, -1, -1)))
+        return sorted(firsts.values())
 
     def rows(self, i: int) -> tuple[int, ...]:
         """Element i's rows, read off its key: each component's n rows in

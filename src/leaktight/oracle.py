@@ -509,13 +509,14 @@ def _reified(
 
 @dataclass(frozen=True)
 class EntryCheck:
-    """One checked entry; `measured` is built from its two ints when read."""
+    """One checked entry; `measured` is built from its two ints when read,
+    and `repr` leaves them out, as they can be too long to print."""
 
     s: int
     t: int
     claimed: int
-    numerator: int
-    denominator: int
+    numerator: int = field(repr=False)
+    denominator: int = field(repr=False)
     ok: bool
 
     @property
@@ -558,15 +559,16 @@ class _ElementReport:
 class ReificationReport(_ElementReport):
     """Thresholded comparison of one element against its reified expression.
 
-    `matrix` is the exact scaled matrix of the reified word, and `ok` the
-    verdict `check_consistency` decided on it: every entry claimed 0 is at
-    most `zero_eps` and every entry claimed 1 at least `one_delta`.  The
+    `matrix` is the exact scaled matrix of the reified word (left out of
+    `repr`, as its ints can be too long to print), and `ok` the verdict
+    `check_consistency` decided on it: every entry claimed 0 is at most
+    `zero_eps` and every entry claimed 1 at least `one_delta`.  The
     per-entry `EntryCheck`s, row-major, are built when `entries` is first
     read, by the same integer rule as the verdict, on the key's rows.
     """
 
     n: int
-    matrix: ScaledMatrix
+    matrix: ScaledMatrix = field(repr=False)
     zero_eps: Fraction
     one_delta: Fraction
     ok: bool

@@ -51,6 +51,7 @@ from .reference_saturation import (
     reference_leak,
     reference_plain_closure,
 )
+from .test_saturation import assert_same_saturation
 
 # (states, k) of the benchmark's decide-scale automata,
 # random_automaton(Random(1000 * states + k), states, letters=2).
@@ -409,12 +410,14 @@ def test_leaks_on_the_keys_match_the_scalar_loop_on_drawn_automata(automaton) ->
     assert_leaks_match_scalar(automaton)
 
 
-# Extended closures with a layer of more than 256 idempotents, the most one
-# wide-int pass packs, as (seed, states) of random_automaton(Random(seed),
-# states, letters=2): the idempotents per height, and the positions within
-# the height-1 layer of the leaking idempotents that end a pass.  Seed 670
-# leaks in the last slot of each of its three passes; seed 10312 in the
-# last slot of its first pass and in its second, a pass of exactly one.
+# Extended closures with a layer of more than 256 idempotents, as (seed,
+# states) of random_automaton(Random(seed), states, letters=2): the
+# idempotents per height, and the positions, among the height-1
+# idempotents, of the leaking ones that end a run of 256 or the last run.
+# Seed 670 leaks at the end of each of its three runs; seed 10312 at the
+# end of its first run and in its second, a run of exactly one.  The layer
+# pass packs up to 256 elements, idempotent or not, so these runs are not
+# its passes; the next test puts a leak in the last slot of one.
 CHUNKED = {
     (670, 5): ({0: 31, 1: 601}, [255, 511, 600]),
     (10312, 5): ({0: 66, 1: 257}, [255, 256]),
@@ -433,3 +436,15 @@ def test_leaks_on_the_keys_match_the_scalar_loop_across_passes(
     ends = [j for j in range(len(top)) if j % 256 == 255 or j == len(top) - 1]
     leaking = set(saturation.leaks)
     assert (layers, [j for j in ends if top[j] in leaking]) == CHUNKED[seed, states]
+
+
+def test_leaks_on_the_keys_match_the_scalar_loop_at_the_end_of_a_pass() -> None:
+    # Layer 1 of this extended closure holds 350 of its 415 elements, so
+    # its first pass packs 256 of them, and the last of those is a leaking
+    # idempotent.
+    automaton = random_automaton(random.Random(104), states=5, letters=2)
+    saturation = assert_leaks_match_scalar(automaton)._saturation
+    layer = [i for i, height in enumerate(saturation.heights) if height == 1]
+    assert (len(saturation), len(layer)) == (415, 350)
+    assert layer[255] in saturation.leaks
+    assert_same_saturation(automaton, 2)

@@ -444,6 +444,27 @@ def test_checks_read_no_provenance_map_and_report_its_nodes() -> None:
     assert checked > 150
 
 
+def test_report_reprs_leave_out_the_long_numerators() -> None:
+    # At n = 6 the plain closures of corpus seeds 265 and 279, and at n = 3
+    # the extended closure of 279, have numerators past the 4,300 digits
+    # Python converts to str; repr shows neither them nor the matrices.
+    reports = []
+    for seed in (265, 279):
+        a = seeded_automaton(seed)
+        reports += check_consistency(a, markov_monoid(a), 6)
+    reports += check_lower_bound(seeded_automaton(279), seeded_extended(279), 3)
+    entries = [entry for report in reports for entry in report.entries]
+    too_long = 10**4300
+    assert any(entry.numerator >= too_long for entry in entries)
+    texts = [repr(report) for report in reports] + [repr(entry) for entry in entries]
+    assert not any(
+        field in text
+        for text in texts
+        for field in ("matrix=", "numerator=", "denominator=")
+    )
+    assert all(entry.measured * entry.denominator == entry.numerator for entry in entries)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_n_below_one_is_refused_before_any_element(n) -> None:
     # Closures over letters fig3 lacks: the first letter evaluated would
