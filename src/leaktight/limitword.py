@@ -35,6 +35,8 @@ class LimitWord:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.rows) is not tuple:  # a list would not compare or hash
+            object.__setattr__(self, "rows", tuple(self.rows))
         if self.dim <= 0:
             raise ValidationError("dimension must be positive")
         if len(self.rows) != self.dim:

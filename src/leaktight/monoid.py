@@ -223,7 +223,8 @@ def saturate(
     # support of its matrix, back-pointer its name.
     columns = [1 << t for t in range(n)]
     seeds = [(None, columns)]
-    for letter, (rows, _) in zip(automaton.alphabet, automaton._scaled_letters):
+    for letter in automaton.alphabet:
+        rows, _ = automaton.scaled_matrix(letter)
         seeds.append((letter, [sum(compress(columns, row)) for row in rows]))
     for source, rows in seeds:
         key = sum(row << (j * n) for j, row in enumerate(rows * k))

@@ -150,6 +150,10 @@ class FamilyPower(TreeNode):
 class FamilySeq(TreeNode):
     parts: tuple["FamilyNode", ...]
 
+    def __post_init__(self) -> None:
+        # Parts given as a list would fail to hash and to spell.
+        object.__setattr__(self, "parts", tuple(self.parts))
+
 
 FamilyNode = Union[FamilyAtom, FamilyPower, FamilySeq]
 

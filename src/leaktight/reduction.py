@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .automaton import Automaton, Matrix
 from .errors import ValidationError
@@ -178,25 +179,62 @@ class _RowBuilder:
         return tuple(tuple(row) for row in self.rows)
 
 
-def _apply_coin_rows(
-    builder: _RowBuilder,
+def _bar(state: str) -> str:
+    """The shadow copy that holds `state`'s mass until the merge."""
+    return f"bar:{state}"
+
+
+def _serialized_rounds(
+    automaton: Automaton, states: Sequence[str], shares: Mapping[str, Fraction]
+) -> Iterator[tuple[str, _RowBuilder]]:
+    """Each letter of the serialization with its rows over `states`.
+
+    Star splits the coin state `s*` by `shares`; merge returns every shadow
+    copy to its plain state; check:a:q moves q to the coin, and apply:a:q
+    routes the outcomes `s0` and `s1` to the shadows of a's targets from q,
+    both to the same one when a is deterministic at q.  Letters come in the
+    order of the reduced alphabet, finish left out, each with a fresh
+    builder the caller may add rows to before it freezes them.
+    """
+    builder = _RowBuilder(states)
+    builder.split("s*", shares)
+    yield "star", builder
+    builder = _RowBuilder(states)
+    for q in automaton.states:
+        builder.move(_bar(q), q)
+    yield "merge", builder
+    for a in automaton.alphabet:
+        for q, row in zip(automaton.states, automaton.matrix(a)):
+            builder = _RowBuilder(states)
+            builder.move(q, "s*")
+            yield f"check:{a}:{q}", builder
+            targets = [_bar(automaton.states[t]) for t in _row_targets(row)]
+            builder = _RowBuilder(states)
+            builder.move("s0", targets[0])
+            builder.move("s1", targets[-1])
+            yield f"apply:{a}:{q}", builder
+
+
+def _output(
     automaton: Automaton,
-    letter: str,
-    bar: Mapping[str, str],
-    zero: str,
-    one: str,
-) -> None:
-    _, a, q = letter.split(":")
-    row = automaton.matrix(a)[automaton.state_index[q]]
-    targets = _row_targets(row)
-    if len(targets) == 1:
-        target = bar[automaton.states[targets[0]]]
-        builder.move(zero, target)
-        builder.move(one, target)
-    else:
-        low, high = targets
-        builder.move(zero, bar[automaton.states[low]])
-        builder.move(one, bar[automaton.states[high]])
+    states: Sequence[str],
+    frozen: Mapping[str, Matrix],
+    final: Iterable[str],
+    hat: Mapping[str, tuple[str, ...]],
+    kind: str,
+) -> ReductionOutput:
+    """The reduced automaton, its letters in the descriptions' order."""
+    descriptions = _letter_descriptions(automaton, with_finish=kind == "full")
+    reduced = Automaton(
+        states=tuple(states),
+        alphabet=tuple(descriptions),
+        initial=automaton.initial,
+        final=frozenset(final),
+        matrices=tuple(frozen[letter] for letter in descriptions),
+    )
+    return ReductionOutput(
+        automaton=reduced, letter_map=descriptions, hat=hat, kind=kind
+    )
 
 
 def reduce_basic(automaton: Automaton) -> ReductionOutput:
@@ -209,43 +247,11 @@ def reduce_basic(automaton: Automaton) -> ReductionOutput:
     Acceptance probabilities agree exactly on encoded words.
     """
     _require_simple(automaton)
-    bar = {q: f"bar:{q}" for q in automaton.states}
-    coin, zero, one = "s*", "s0", "s1"
-    states = (
-        list(automaton.states)
-        + [bar[q] for q in automaton.states]
-        + [coin, zero, one]
-    )
-    descriptions = _letter_descriptions(automaton, with_finish=False)
-    letters = list(descriptions)
-    matrices: list[Matrix] = []
-    for letter in letters:
-        builder = _RowBuilder(states)
-        if letter == "star":
-            builder.split(coin, {zero: HALF, one: HALF})
-        elif letter == "merge":
-            for q in automaton.states:
-                builder.move(bar[q], q)
-        elif letter.startswith("check:"):
-            _, a, q = letter.split(":")
-            builder.move(q, coin)
-        else:
-            _apply_coin_rows(builder, automaton, letter, bar, zero, one)
-        matrices.append(builder.matrix())
-    reduced = Automaton(
-        states=tuple(states),
-        alphabet=tuple(letters),
-        initial=automaton.initial,
-        final=frozenset(automaton.final),
-        matrices=tuple(matrices),
-    )
+    states = [*automaton.states, *map(_bar, automaton.states), "s*", "s0", "s1"]
+    rounds = _serialized_rounds(automaton, states, {"s0": HALF, "s1": HALF})
+    frozen = {letter: builder.matrix() for letter, builder in rounds}
     hat = {a: hat_morphism(automaton, (a,)) for a in automaton.alphabet}
-    return ReductionOutput(
-        automaton=reduced,
-        letter_map=descriptions,
-        hat=hat,
-        kind="basic",
-    )
+    return _output(automaton, states, frozen, automaton.final, hat, "basic")
 
 
 def reduce_full(automaton: Automaton) -> ReductionOutput:
@@ -260,93 +266,50 @@ def reduce_full(automaton: Automaton) -> ReductionOutput:
     finish falls into a sink.
     """
     _require_simple(automaton)
-    bar = {q: f"bar:{q}" for q in automaton.states}
-    coin, zero, one, wait = "s*", "s0", "s1", "wait"
-    checker_start, sink = "sC", "sink"
-    n = len(automaton.states)
-    template: dict[str, tuple[str, ...]] = {
-        a: hat_morphism(automaton, (a,)) for a in automaton.alphabet
-    }
-    checker_mid = [
-        f"c:{a}:{j}" for a in automaton.alphabet for j in range(1, 3 * n + 1)
+    hat = {a: hat_morphism(automaton, (a,)) for a in automaton.alphabet}
+    # The checker reads a block a letter at a time, from `sC` through
+    # c:a:1, ..., c:a:3n and back to `sC` on its last letter; `sC` stays
+    # put on finish, and every other letter traps the checker in `sink`.
+    checker: list[str] = []
+    steps: dict[str, dict[str, str]] = {"finish": {"sC": "sC"}}
+    for a, block in hat.items():
+        path = [f"c:{a}:{j}" for j in range(1, len(block))]
+        checker += path
+        for src, letter, dst in zip(["sC", *path], block, [*path, "sC"]):
+            steps.setdefault(letter, {})[src] = dst
+    states = [
+        *automaton.states,
+        *map(_bar, automaton.states),
+        *("s*", "s0", "s1", "wait", "sC"),
+        *checker,
+        "sink",
     ]
-    states = (
-        list(automaton.states)
-        + [bar[q] for q in automaton.states]
-        + [coin, zero, one, wait]
-        + [checker_start]
-        + checker_mid
-        + [sink]
-    )
-    descriptions = _letter_descriptions(automaton, with_finish=True)
-    letters = list(descriptions)
 
-    def checker_step(state: str, letter: str) -> str:
-        """The embedded checker: deterministic and complete, with trap `sink`."""
-        if state == checker_start:
-            if letter == "finish":
-                return checker_start
-            for a in automaton.alphabet:
-                if letter == template[a][0]:
-                    return f"c:{a}:1"
-            return sink
-        if state == sink:
-            return sink
-        _, a, j_text = state.split(":", 2)
-        j = int(j_text)
-        if letter != template[a][j]:
-            return sink
-        if j == 3 * n:
-            return checker_start
-        return f"c:{a}:{j + 1}"
-
-    matrices: list[Matrix] = []
-    for letter in letters:
+    def finish() -> Iterator[tuple[str, _RowBuilder]]:
+        """Restart waiting mass, bank final mass, trap the rest."""
         builder = _RowBuilder(states)
-        if letter == "star":
-            builder.split(coin, {wait: THIRD, zero: THIRD, one: THIRD})
-        else:
-            # Any letter other than star parks coin mass at the wait state,
-            # including finish: the wait rule has precedence for the coin.
-            builder.move(coin, wait)
-            if letter == "merge":
-                for q in automaton.states:
-                    builder.move(bar[q], q)
-            elif letter == "finish":
-                builder.move(wait, automaton.initial)
-                for q in automaton.states:
-                    if q in automaton.final:
-                        builder.move(q, checker_start)
-                    else:
-                        builder.move(q, sink)
-                for barred in bar.values():
-                    builder.move(barred, sink)
-                builder.move(zero, sink)
-                builder.move(one, sink)
-            elif letter.startswith("check:"):
-                _, a, q = letter.split(":")
-                builder.move(q, coin)
-            else:
-                _apply_coin_rows(builder, automaton, letter, bar, zero, one)
-        for state in [checker_start, *checker_mid, sink]:
-            target = checker_step(state, letter)
-            if target != state:
-                builder.move(state, target)
-        matrices.append(builder.matrix())
+        builder.move("wait", automaton.initial)
+        for q in automaton.states:
+            builder.move(q, "sC" if q in automaton.final else "sink")
+            builder.move(_bar(q), "sink")
+        builder.move("s0", "sink")
+        builder.move("s1", "sink")
+        yield "finish", builder
 
-    reduced = Automaton(
-        states=tuple(states),
-        alphabet=tuple(letters),
-        initial=automaton.initial,
-        final=frozenset({checker_start}),
-        matrices=tuple(matrices),
-    )
-    return ReductionOutput(
-        automaton=reduced,
-        letter_map=descriptions,
-        hat=dict(template),
-        kind="full",
-    )
+    shares = {"wait": THIRD, "s0": THIRD, "s1": THIRD}
+    frozen: dict[str, Matrix] = {}
+    for letter, builder in chain(
+        _serialized_rounds(automaton, states, shares), finish()
+    ):
+        if letter != "star":
+            # Every other letter parks coin mass at the wait state, finish
+            # included: the wait rule has precedence for the coin.
+            builder.move("s*", "wait")
+        step = steps.get(letter, {})
+        for state in ["sC", *checker]:
+            builder.move(state, step.get(state, "sink"))
+        frozen[letter] = builder.matrix()
+    return _output(automaton, states, frozen, {"sC"}, hat, "full")
 
 
 def third_simulation(automaton: Automaton) -> Automaton:

@@ -39,6 +39,16 @@ def test_identity_and_membership() -> None:
     assert (0, 0) in e and (0, 1) not in e
 
 
+def test_rows_given_as_a_list_are_stored_as_a_tuple() -> None:
+    u = LimitWord(2, [0b01, 0b10])
+    e = LimitWord.identity(2)
+    assert u.rows == (0b01, 0b10)
+    assert u == e and hash(u) == hash(e) and u in {e}
+    assert u.is_idempotent()
+    assert u.iterate() == e
+    assert u.recurrent_states() == frozenset({0, 1})
+
+
 def test_render_names_states() -> None:
     u = LimitWord(2, (0b11, 0b01))
     text = u.render(("p", "q"))

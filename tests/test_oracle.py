@@ -27,6 +27,7 @@ from leaktight import (
     reify,
 )
 from leaktight.generate import random_automaton
+from leaktight.oracle import FamilyAtom, FamilyPower, FamilySeq, WordFamily
 from leaktight.zoo import det1, fig1, fig3, hier2, rnd3, sink
 
 from .helpers import seeded_automaton, seeded_closure
@@ -82,6 +83,14 @@ def test_family_literal_powers() -> None:
 def test_family_nested_groups() -> None:
     family = parse_family("((a b)^2 a)^k")
     assert family_word(family, {"k": 2}) == tuple("ababa" * 2)
+
+
+def test_family_parts_given_as_a_list_are_stored_as_a_tuple() -> None:
+    seq = FamilySeq([FamilyAtom("a"), FamilyAtom("b")])
+    assert seq.parts == (FamilyAtom("a"), FamilyAtom("b"))
+    assert hash(seq) == hash(FamilySeq((FamilyAtom("a"), FamilyAtom("b"))))
+    assert family_word(WordFamily(seq)) == ("a", "b")
+    assert family_word(WordFamily(FamilyPower(seq, 2))) == tuple("abab")
 
 
 def test_family_syntax_errors() -> None:

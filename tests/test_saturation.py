@@ -37,7 +37,7 @@ from leaktight import (
 )
 from leaktight.generate import random_automaton
 from leaktight.leaks import ExtendedClosure, ExtendedLimitWord
-from leaktight.monoid import DEFAULT_CAP, Saturation, saturate
+from leaktight.monoid import DEFAULT_CAP, MonoidClosure, Saturation, saturate
 from leaktight.sharpexpr import (
     Concat,
     Epsilon,
@@ -48,6 +48,7 @@ from leaktight.sharpexpr import (
     letter_expr,
 )
 
+from .certify import certify
 from .helpers import (
     automata,
     corpus,
@@ -195,6 +196,17 @@ def test_closure_sizes_on_hard_scaling_automata(
     heights = extended.max_height, plain.max_height
     assert (sizes, heights) == HARD_SCALING[states, k, letters]
     assert markov_monoid(extended).heights == plain.heights
+
+
+@pytest.mark.parametrize("components", [1, 2], ids=["plain", "extended"])
+@pytest.mark.parametrize("states,k,letters", HARD_CASES)
+def test_hard_closures_are_certified_without_the_engine(
+    states: int, k: int, letters: int, components: int
+) -> None:
+    automaton = scaling_automaton(states, k, letters)
+    saturation = saturate(automaton, components, DEFAULT_CAP)
+    closure = (MonoidClosure if components == 1 else ExtendedClosure)(saturation)
+    certify(saturation, closure.elements)
 
 
 @pytest.mark.parametrize("kind", sorted(BUILDERS))
