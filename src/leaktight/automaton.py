@@ -11,7 +11,11 @@ order, over one common denominator.  Each is reduced once per product or
 step: by the lowest set bit when the denominator is a power of two, by a
 single `math.gcd` otherwise, and by a shift whenever that divisor is a
 power of two.  A step, or a product by a letter, runs over
-the letter's nonzero entries.  The reduced form is unique, so it can be
+the letter's nonzero entries.  A power with more exponent bits than
+the matrix has rows, whose squarings could not pass the power bound, is
+computed on the numerators through the characteristic polynomial and
+reduced once; any other power squares and multiplies, reducing each
+product.  The reduced form is unique, so it can be
 compared and hashed as it is.  The `Fraction` functions convert at the
 boundary.  Each automaton builds the scaled form of its letters once, at
 construction, and validates the matrices on it, checking each distinct
@@ -119,20 +123,105 @@ def scaled_product(left: ScaledMatrix, right: ScaledMatrix) -> ScaledMatrix:
 POWER_DENOMINATOR_BITS = 2**20
 
 
-def scaled_power(matrix: ScaledMatrix, exponent: int) -> ScaledMatrix:
-    """matrix ** exponent by left-to-right square-and-multiply.
+def _characteristic_power(rows: tuple[tuple[int, ...], ...], exponent: int) -> list:
+    """The integer rows of R^exponent, R = `rows` of dimension n, for
+    exponent ≥ 2, by Cayley–Hamilton.
 
-    From the matrix, each later bit of the exponent squares the result and,
-    when the bit is set, multiplies it by the matrix, whose denominator is
-    the smallest; the last squaring yields matrix^(exponent - exponent % 2).
-    Raises CapExceeded when a squaring's denominator grows past
-    `POWER_DENOMINATOR_BITS` bits; powers of 0/1 matrices never do.
+    The traces of R, R², …, Rⁿ give, by Newton's identities, the
+    coefficients c_k of xⁿ = Σ_k c_k·x^(n−k) modulo the characteristic
+    polynomial χ: k·c_k = tr(R^k) − Σ_{j<k} c_j·tr(R^(k−j)), an exact
+    division.  Then x^exponent mod χ is taken left to right on its n
+    coefficients, and R^exponent is their sum over I, R, …, R^(n−1).
+    """
+    n = len(rows)
+    cols = tuple(zip(*rows))
+    powers = [rows]  # R, R², …, R^(n−1), or R alone when n ≤ 1
+    for _ in range(n - 2):
+        power = powers[-1]
+        powers.append([[sum(map(mul, row, col)) for col in cols] for row in power])
+    traces = [sum([row[i] for i, row in enumerate(power)]) for power in powers]
+    if n > 1:
+        # tr(Rⁿ) without the product: the sum of R^(n−1)[s][t]·R[t][s].
+        traces.append(
+            sum(map(mul, chain.from_iterable(powers[-1]), chain.from_iterable(cols)))
+        )
+    recurrence: list[int] = []  # c_1, …, c_n
+    for k, trace in enumerate(traces[:n], 1):
+        earlier = sum(map(mul, recurrence, reversed(traces[: k - 1])))
+        recurrence.append((trace - earlier) // k)
+
+    def reduced(poly: list[int]) -> list[int]:
+        for m in range(len(poly) - 1, n - 1, -1):
+            top = poly[m]
+            if top:
+                for k, c in enumerate(recurrence, 1):
+                    poly[m - k] += c * top
+        del poly[n:]
+        return poly
+
+    power = reduced([0, 1] + [0] * (n - 2))
+    for bit in bin(exponent)[3:]:
+        square = [0] * (2 * n - 1)
+        for i, x in enumerate(power):
+            square[2 * i] += x * x
+            twice = x << 1
+            for j in range(i + 1, n):
+                square[i + j] += twice * power[j]
+        power = reduced(square)
+        if bit == "1":
+            power.insert(0, 0)
+            power = reduced(power)
+    # Σ_{i≥1} power[i]·R^i; `map` stops at R^(n−1), so R alone adds
+    # nothing when n = 1.  The identity's term goes on the diagonal.
+    later = power[1:]
+    result = [
+        [sum(map(mul, later, column)) for column in zip(*ith_rows)]
+        for ith_rows in zip(*powers)
+    ]
+    for s, row in enumerate(result):
+        row[s] += power[0]
+    return result
+
+
+def scaled_power(matrix: ScaledMatrix, exponent: int) -> ScaledMatrix:
+    """matrix ** exponent.
+
+    With R the numerator rows, d the denominator, n the dimension and e
+    the exponent, one of two paths runs; both return the reduced form.
+
+    - Cayley–Hamilton (`_characteristic_power`), then one reduction of
+      R^e / d^e: a squaring of x^e mod χ costs n(n+1)/2 balanced big-int
+      products and n(n−1) products by χ's small coefficients, against n³
+      balanced products for a matrix squaring.  It runs when
+      e.bit_length() > n, so that the n − 2 products building R², …,
+      R^(n−1) are repaid, and when (e − e % 2)·bits(d) ≤
+      `POWER_DENOMINATOR_BITS`, so that no squaring of the loop below
+      could pass the bound: each squaring's reduced denominator divides
+      d^(e_j), e_j ≤ e − e % 2.  Its numbers do reach d^e, unreduced.
+    - Otherwise left-to-right square-and-multiply on the matrix: from the
+      matrix, each later bit of the exponent squares the result and, when
+      the bit is set, multiplies it by the matrix, whose denominator is
+      the smallest; the last squaring yields matrix^(e − e % 2).  Each
+      product is reduced, so only this path keeps the denominators of
+      large exponents small.  Raises CapExceeded when a squaring's
+      denominator grows past `POWER_DENOMINATOR_BITS` bits; powers of 0/1
+      matrices never do.
+
+    Exponent 1 returns `matrix` as it is, exponent 0 the identity.
     """
     if exponent < 0:
         raise ValueError("exponent must be nonnegative")
-    if not exponent:
-        rows, _ = matrix
-        return scaled_identity(len(rows))
+    rows, denominator = matrix
+    if exponent < 2:
+        return matrix if exponent else scaled_identity(len(rows))
+    if (
+        exponent.bit_length() > len(rows)
+        and (exponent - exponent % 2) * denominator.bit_length()
+        <= POWER_DENOMINATOR_BITS
+    ):
+        return _reduced_rows(
+            _characteristic_power(rows, exponent), denominator**exponent
+        )
     result = matrix
     for bit in bin(exponent)[3:]:
         result = scaled_product(result, result)
@@ -249,6 +338,20 @@ class Automaton:
                 raise ValidationError(f"letter {letter!r}: entry {entry} outside [0,1]")
             scaled.append((tuple(rows), denominator))
         object.__setattr__(self, "_scaled_letters", tuple(scaled))
+        # Fields given as lists or sets would not compare or hash.  Those
+        # `automaton_from_json` passes are frozen already, and kept.
+        frozen = (
+            type(self.states) is type(self.alphabet) is type(self.matrices) is tuple
+            and type(self.final) is frozenset
+            and all([type(row) is tuple for m in self.matrices for row in (m, *m)])
+        )
+        if not frozen:
+            object.__setattr__(self, "states", tuple(self.states))
+            object.__setattr__(self, "alphabet", tuple(self.alphabet))
+            object.__setattr__(self, "final", frozenset(self.final))
+            object.__setattr__(
+                self, "matrices", tuple([tuple(map(tuple, m)) for m in self.matrices])
+            )
 
     @cached_property
     def state_index(self) -> dict[str, int]:

@@ -176,6 +176,9 @@ class RecurrencePartition:
     classes: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
+        # A list or set would not compare or hash.
+        object.__setattr__(self, "recurrent", frozenset(self.recurrent))
+        object.__setattr__(self, "classes", tuple(self.classes))
         seen: set[int] = set()
         for cls in self.classes:
             if not cls:

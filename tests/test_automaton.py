@@ -103,6 +103,23 @@ def test_rejects_duplicate_names_and_arity_mismatch() -> None:
         )
 
 
+def test_fields_given_as_lists_or_sets_are_stored_frozen() -> None:
+    a = fig3()
+    listed = Automaton(
+        states=list(a.states),
+        alphabet=list(a.alphabet),
+        initial=a.initial,
+        final=set(a.final),
+        matrices=[[list(row) for row in matrix] for matrix in a.matrices],
+    )
+    assert listed == a and hash(listed) == hash(a) and listed in {a}
+    assert repr(listed) == repr(a)
+    assert type(listed.final) is frozenset
+    assert listed.matrices == a.matrices
+    assert all(type(row) is tuple for m in listed.matrices for row in m)
+    assert automaton_to_json(listed) == automaton_to_json(a)
+
+
 def test_unknown_letter_raises() -> None:
     with pytest.raises(ValidationError, match="unknown letter"):
         fig3().matrix("z")

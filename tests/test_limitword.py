@@ -177,6 +177,13 @@ def test_recurrence_partition_validates() -> None:
         )
 
 
+def test_recurrence_partition_given_as_a_list_or_set_is_stored_frozen() -> None:
+    built = letter_abstraction(fig3(), "a").recurrence_classes()
+    listed = RecurrencePartition(set(built.recurrent), list(built.classes))
+    assert listed == built and hash(listed) == hash(built) and listed in {built}
+    assert listed.classes == (frozenset({0}), frozenset({1}))
+
+
 @settings(max_examples=100)
 @given(limit_words())
 def test_iterate_laws_on_arbitrary_idempotents(u: LimitWord) -> None:

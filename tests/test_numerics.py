@@ -28,6 +28,7 @@ from leaktight import (
     brute_force_value,
     check_consistency,
     check_lower_bound,
+    evaluate_family,
     evaluate_family_at,
     expression_matrix,
     extended_markov_monoid,
@@ -42,6 +43,7 @@ from leaktight import (
     reify,
     synchronized_product,
 )
+from leaktight import automaton as automaton_module
 from leaktight import oracle
 from leaktight.automaton import (
     POWER_DENOMINATOR_BITS,
@@ -916,6 +918,155 @@ def test_default_reification_of_deep_provenance_stays_under_power_bound() -> Non
     a = seeded_automaton(279)
     reports = check_consistency(a, seeded_closure(279), n=12)
     assert all(report.ok for report in reports)
+
+
+# ---------------------------------------------------------------------------
+# The two paths of `scaled_power`: Cayley–Hamilton when
+# e.bit_length() > n and (e − e % 2)·bits(d) ≤ POWER_DENOMINATOR_BITS,
+# the squaring loop otherwise.
+
+
+def _structured(kind: str, dim: int, rng: random.Random) -> tuple:
+    """A scaled `dim`×`dim` matrix of the given kind, entries drawn from `rng`."""
+    span = range(dim)
+    if kind == "nilpotent":  # strictly upper triangular
+        rows = [[rng.randint(1, 3) if t > s else 0 for t in span] for s in span]
+        return rows, rng.choice((2, 3))
+    if kind == "jordan":  # one eigenvalue λ/(λ + 1), repeated dim times
+        lam = rng.randint(1, 3)
+        rows = [[lam if t == s else int(t == s + 1) for t in span] for s in span]
+        return rows, lam + 1
+    if kind == "permutation":
+        order = rng.sample(span, dim)
+        return [[int(t == order[s]) for t in span] for s in span], 1
+    if kind == "rank-one":  # every row the same distribution
+        row = [0] * dim
+        for _ in range(8):
+            row[rng.randrange(dim)] += 1
+        return [row] * dim, 8
+    if kind == "singular":  # stochastic, the last row a copy of the first
+        rows = []
+        for _ in span:
+            row = [0] * dim
+            for _ in range(4):
+                row[rng.randrange(dim)] += 1
+            rows.append(row)
+        rows[-1] = rows[0] if dim > 1 else [0]
+        return rows, 4
+    if kind == "negative":
+        return [[rng.randint(-4, 4) for _ in span] for _ in span], 5
+    if kind == "shared-factor":  # even entries over 6: the input is unreduced
+        return [[2 * rng.randint(0, 3) for _ in span] for _ in span], 6
+    raise ValueError(kind)
+
+
+STRUCTURED = (
+    "nilpotent",
+    "jordan",
+    "permutation",
+    "rank-one",
+    "singular",
+    "negative",
+    "shared-factor",
+)
+
+
+def _record_characteristic_powers(monkeypatch) -> list:
+    """The (dimension, exponent) of each power that takes Cayley–Hamilton
+    from now on, recorded in the list returned."""
+    taken = []
+    characteristic = automaton_module._characteristic_power
+
+    def record(rows, exponent):
+        taken.append((len(rows), exponent))
+        return characteristic(rows, exponent)
+
+    monkeypatch.setattr(automaton_module, "_characteristic_power", record)
+    return taken
+
+
+@pytest.mark.parametrize("kind", STRUCTURED)
+def test_powers_of_structured_matrices_match_reference(kind, monkeypatch) -> None:
+    # Seeded, dims 1-8, every exponent of POWERS; both paths run.
+    taken = _record_characteristic_powers(monkeypatch)
+    for dim in range(1, 9):
+        rows, denominator = _structured(kind, dim, random.Random(f"{kind}-{dim}"))
+        matrix = tuple(map(tuple, rows)), denominator
+        for exponent in POWERS:
+            assert scaled_power(matrix, exponent) == ref.right_to_left_power(
+                matrix, exponent, POWER_DENOMINATOR_BITS
+            ), (dim, exponent)
+    assert {dim for dim, _ in taken} == set(range(1, 9))
+    assert len(taken) < len(POWERS) * 8
+
+
+def test_power_path_turns_on_past_the_dimension(monkeypatch) -> None:
+    # 4 states: e = 15 has 4 bits and squares the matrix, e = 16 has 5.
+    rows, denominator = _structured("negative", 4, random.Random(4))
+    matrix = tuple(map(tuple, rows)), denominator
+    taken = _record_characteristic_powers(monkeypatch)
+    for exponent in (15, 16, 31):
+        assert scaled_power(matrix, exponent) == ref.right_to_left_power(
+            matrix, exponent, POWER_DENOMINATOR_BITS
+        )
+    assert taken == [(4, 16), (4, 31)]
+
+
+def test_power_path_stops_at_the_denominator_bound(monkeypatch) -> None:
+    # d = 65535 has 16 bits and d^e exactly 16·e bits for these e, and
+    # M^e has denominator d^e.  At e = 66, (e − e % 2)·bits(d) = 1056: with
+    # the bound at 1056 Cayley–Hamilton runs; one bit lower the loop runs,
+    # and its last squaring, M^66, passes the bound.
+    d = 65535
+    matrix = ((1, d - 1), (d - 1, 1)), d
+    for exponent in (64, 65, 66):
+        assert scaled_power(matrix, exponent)[1] == d**exponent
+    taken = _record_characteristic_powers(monkeypatch)
+    for exponent in (66, 67):
+        monkeypatch.setattr("leaktight.automaton.POWER_DENOMINATOR_BITS", 1056)
+        assert scaled_power(matrix, exponent) == (
+            ref.right_to_left_power(matrix, exponent, 1056)
+        )
+        monkeypatch.setattr("leaktight.automaton.POWER_DENOMINATOR_BITS", 1055)
+        with pytest.raises(CapExceeded) as raised:
+            scaled_power(matrix, exponent)
+        assert str(raised.value) == (
+            f"matrix power {exponent}: denominator exceeded 1055 bits"
+        )
+    assert taken == [(2, 66), (2, 67)]
+
+
+def test_power_of_exponents_zero_and_one_and_of_the_empty_matrix() -> None:
+    unreduced = ((2, 4), (6, 0)), 8
+    assert scaled_power(unreduced, 0) == (((1, 0), (0, 1)), 1)
+    assert scaled_power(unreduced, 1) is unreduced
+    for exponent in POWERS:
+        assert scaled_power(unreduced, exponent) == ref.right_to_left_power(
+            unreduced, exponent, POWER_DENOMINATOR_BITS
+        )
+    for empty in (((), 1), ((), 3), ((), 4)):
+        assert scaled_power(empty, 1) is empty
+        for exponent in (0, 2, 3, 16, 144):
+            assert scaled_power(empty, exponent) == ((), 1)
+            assert ref.right_to_left_power(empty, exponent, 64) == ((), 1)
+
+
+def test_family_powers_take_both_paths(monkeypatch) -> None:
+    # On 3 states, a^3 and (…)^2 square the matrix; a^200 and (…)^8 take
+    # Cayley–Hamilton.
+    a = rnd3()
+    family = parse_family("(b a^n)^m")
+    taken = _record_characteristic_powers(monkeypatch)
+    grid = {"n": (3, 200), "m": (2, 8)}
+    table = evaluate_family(a, family, grid)
+    for n in grid["n"]:
+        for m in grid["m"]:
+            bindings = {"m": m, "n": n}
+            rows = ref.word_matrix(a, family_word(family, bindings))
+            expected = sum(rows[a.state_index[a.initial]][f] for f in a.final_indices)
+            assert evaluate_family_at(a, family, bindings) == expected
+            assert table[(("m", m), ("n", n))] == expected
+    assert {exponent for _, exponent in taken} == {200, 8}
 
 
 # ---------------------------------------------------------------------------
