@@ -59,18 +59,33 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _read_automaton(path: str) -> Automaton:
-    """The automaton at `path`, or on standard input for `-`, decoded alike."""
+def _read_bytes(path: str) -> bytes:
+    """The bytes of the file at `path`, read to its end without a file
+    object: a file object's set-up costs more than reading a small file."""
+    fd = os.open(path, os.O_RDONLY)
     try:
-        if path == "-":
-            data = sys.stdin.buffer.read()
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
+
+
+def _read_automaton(path: str) -> Automaton:
+    """The automaton at `path`, or on standard input for `-`, decoded alike.
+
+    A standard input without a byte buffer, such as `io.StringIO`, is read
+    as text."""
+    try:
+        if path != "-":
+            text = _read_bytes(path).decode("utf-8")
+        elif hasattr(sys.stdin, "buffer"):
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
-            with open(path, "rb", buffering=0) as handle:
-                data = handle.read()
+            text = sys.stdin.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
-    try:
-        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
     if "\r" in text:  # line ends as a text-mode read translates them

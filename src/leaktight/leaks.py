@@ -96,10 +96,10 @@ class ExtendedClosure(Closure[ExtendedLimitWord]):
         Each word keeps the height and the expression of its first pair in
         discovery order; heights never fall in that order, so this is the
         word's least height.  The first pairs are found by
-        `Saturation.first_words`, on the keys, and nothing is decoded.
+        `Saturation.first_words`, on the keys, when the closure is first
+        read, and nothing is decoded.
         """
-        saturation = self._saturation
-        return MonoidClosure(saturation, saturation.first_words())
+        return MonoidClosure(self._saturation, self._saturation.first_words)
 
 
 def extended_markov_monoid(

@@ -145,15 +145,23 @@ V = TypeVar("V")
 
 
 @cache
-def _layout(n: int, k: int) -> tuple[int, int, tuple[int, ...], tuple[int, ...], int]:
+def _layout(
+    n: int, k: int
+) -> tuple[int, int, tuple[int, ...], tuple[int, ...], int, int, int, int]:
     """The packing constants of k-component elements over n states: the
     row mask `full`, `spread` (bit s·n for every row s), the masks S_c, the
-    row shifts and the slot width in 64-bit words."""
+    row shifts, the slot width in 64-bit words, `every_row` (the bits of
+    all the S_c), `first_rows` (row 0 of every component) and `diagonal`
+    (bit s·(n + 1) for every state s)."""
     full = (1 << n) - 1
     spread = sum(1 << (s * n) for s in range(n))
     masks = tuple(spread << (c * n * n) for c in range(k))
     shifts = tuple(j * n for j in range(k * n))
-    return full, spread, masks, shifts, -(-k * n * n // 64)
+    words = -(-k * n * n // 64)
+    every_row = sum(masks)
+    first_rows = sum(full << (c * n * n) for c in range(k))
+    diagonal = sum(1 << (s * (n + 1)) for s in range(n))
+    return full, spread, masks, shifts, words, every_row, first_rows, diagonal
 
 
 def saturate(
@@ -173,11 +181,8 @@ def saturate(
     idempotents that leak.
     """
     n, k = len(automaton.states), components
-    full, spread, masks, shifts, words = _layout(n, k)
+    full, spread, masks, shifts, words, every_row, first_rows, diagonal = _layout(n, k)
     width = 8 * words
-    every_row = sum(masks)
-    first_rows = sum(full << (c * n * n) for c in range(k))
-    diagonal = sum(1 << (s * (n + 1)) for s in range(n))
 
     def right_form(key: int) -> tuple[int, ...]:
         return tuple([(key >> shift) & full for shift in shifts])
@@ -223,8 +228,7 @@ def saturate(
     # support of its matrix, back-pointer its name.
     columns = [1 << t for t in range(n)]
     seeds = [(None, columns)]
-    for letter in automaton.alphabet:
-        rows, _ = automaton.scaled_matrix(letter)
+    for letter, (rows, _) in zip(automaton.alphabet, automaton._scaled_letters):
         seeds.append((letter, [sum(compress(columns, row)) for row in rows]))
     for source, rows in seeds:
         key = sum(row << (j * n) for j, row in enumerate(rows * k))
@@ -365,7 +369,7 @@ class Saturation:
         self.idempotents = idempotents
         self.leaks = leaks
         n = len(automaton.states)
-        full, _, _, self._shifts, _ = _layout(n, components)
+        full, _, _, self._shifts, *_ = _layout(n, components)
         self._n, self._full = n, full
         self._spans = [slice(c * n, (c + 1) * n) for c in range(components)]
         self._words: list[Optional[tuple[LimitWord, ...]]] = [None] * len(keys)
@@ -482,16 +486,30 @@ class Closure(Generic[E]):
     element has a witnessing expression in `provenance` and its least
     iterate-nesting height in `heights`.  A closure is read off a
     `Saturation`: the saturation's elements at `indices` (all of them by
-    default), ascending.  Each field is decoded when it is first read, in
-    discovery order; `len` and `max_height` decode nothing.
+    default), ascending.  `indices` may also be a function that returns
+    them, called when they are first read.  Each field is decoded when it
+    is first read, in discovery order; `len` and `max_height` decode
+    nothing.
     """
 
     def __init__(
-        self, saturation: Saturation, indices: Optional[Sequence[int]] = None
+        self,
+        saturation: Saturation,
+        indices: Optional[Sequence[int] | Callable[[], Sequence[int]]] = None,
     ) -> None:
         self.automaton = saturation.automaton
         self._saturation = saturation
-        self._indices = range(len(saturation)) if indices is None else indices
+        if indices is None:
+            self._indices = range(len(saturation))
+        elif callable(indices):
+            self._find_indices = indices
+        else:
+            self._indices = indices
+
+    @cached_property
+    def _indices(self) -> Sequence[int]:
+        # Read only when the constructor was given a function.
+        return self._find_indices()
 
     @staticmethod
     def _wrap(words: tuple[LimitWord, ...]) -> E:
@@ -562,35 +580,40 @@ def find_value1_witness(closure: MonoidClosure) -> Optional[LimitWord]:
 
     The witness is found on the keys' word bits, and only it is decoded.
     """
-    i = _value1_witness_index(closure)
-    return None if i is None else closure._saturation.words(i)[0]
+    saturation = closure._saturation
+    i = _value1_witness_index(saturation, closure._indices)
+    return None if i is None else saturation.words(i)[0]
 
 
-def _value1_witness_index(closure: MonoidClosure) -> Optional[int]:
-    """The saturation index of the least witness in row-major bit order,
-    or None."""
-    saturation, automaton = closure._saturation, closure.automaton
+def _value1_witness_index(
+    saturation: Saturation, indices: Sequence[int]
+) -> Optional[int]:
+    """The first of `indices` whose word, the first component, is the
+    least witness in row-major bit order, or None."""
+    automaton = saturation.automaton
     n = len(automaton.states)
     start = automaton.state_index[automaton.initial] * n
     outside = ((1 << n) - 1) & ~_final_mask(automaton)
     keys = saturation.keys
-    found = [i for i in closure._indices if not keys[i] >> start & outside]
-    # The found elements' words are distinct, so the least whole key, with
-    # an extended pair's support bits above its word's, has the least word.
-    return _least_row_major(found, keys) if found else None
+    found = [i for i in indices if not keys[i] >> start & outside]
+    # An extended pair's support bits lie above its word's, and are masked.
+    return _least_row_major(found, keys, (1 << n * n) - 1) if found else None
 
 
-def _least_row_major(indices: Sequence[int], keys: Sequence[int]) -> int:
-    """The first of `indices` whose key is least in row-major bit order.
+def _least_row_major(
+    indices: Sequence[int], keys: Sequence[int], mask: int = -1
+) -> int:
+    """The first of `indices` whose key, ANDed with `mask`, is least in
+    row-major bit order.
 
     Row-major bit order, the order of `LimitWord.sort_key` and of
     `ExtendedLimitWord.sort_key`, reads the bits from bit 0 up, so of two
     keys the one with a 0 at their lowest differing bit is the smaller.
     """
     best = indices[0]
-    least = keys[best]
+    least = keys[best] & mask
     for i in indices[1:]:
-        key = keys[i]
+        key = keys[i] & mask
         diff = key ^ least
         if least & diff & -diff:  # the lowest differing bit is set in `least`
             best, least = i, key
@@ -659,18 +682,21 @@ def decide_value1(automaton: Automaton, cap: int = DEFAULT_CAP) -> Value1Report:
     A found witness is always conclusive.  The negative answer comes with a
     symbolic upper bound and is guaranteed only if the automaton is
     leaktight.  The leak verdict is always returned: it comes from
-    `decide_leaktight`, and the plain closure the witness comes from is
-    derived from that decision's extended closure.  The witness is found
-    on the closure's keys, and only it is decoded.
+    `decide_leaktight`, and the plain closure in the report is derived
+    from that decision's extended closure.  The witness is found on the
+    extended closure's keys: the first pair with the least witnessing
+    word, which is the pair the derived closure keeps for that word.  Only
+    the witness is decoded, and the derived closure finds its first pairs
+    only when it is read.
     """
     from .leaks import decide_leaktight
 
     leak = decide_leaktight(automaton, cap)
     # Derived, not saturated; by name, so wrappers of markov_monoid see it.
     closure = markov_monoid(leak.closure)
-    i = _value1_witness_index(closure)
+    saturation = leak.closure._saturation
+    i = _value1_witness_index(saturation, range(len(saturation)))
     if i is not None:
-        saturation = closure._saturation
         element = saturation.words(i)[0]
         certificate = Certificate(
             kind="value1", witness=saturation.expression(i), element=element
@@ -718,11 +744,11 @@ def bounded_witness_search(
     if bound < 0:
         raise ValidationError("max_height must be nonnegative")
     try:
-        closure = MonoidClosure(saturate(automaton, 1, cap, bound))
+        saturation = saturate(automaton, 1, cap, bound)
     except CapExceeded:
         raise CapExceeded(f"witness search exceeded cap of {cap} elements") from None
-    i = _value1_witness_index(closure)
-    return None if i is None else closure._saturation.expression(i)
+    i = _value1_witness_index(saturation, range(len(saturation)))
+    return None if i is None else saturation.expression(i)
 
 
 # ---------------------------------------------------------------------------

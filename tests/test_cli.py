@@ -102,18 +102,21 @@ def test_value1_no_unreliable(capsys, fixture_file, tmp_path) -> None:
     assert report["leaktight"] == "no"
 
 
-# Each counted function, with the modules that bind it by name.
+# Each counted function, with the modules that bind it by name, or with
+# the class that defines it.
 COUNTED = {
     "saturate": (monoid, leaks),
     "markov_monoid": (monoid, cli),
     "extended_markov_monoid": (leaks, cli),
     "find_leak_witness": (leaks, cli),
+    "first_words": (monoid.Saturation,),
 }
 
 
 @pytest.fixture()
 def calls(monkeypatch) -> Counter:
-    """Calls of the saturation engine, each closure builder and the leak search.
+    """Calls of the saturation engine, each closure builder, the leak
+    search and the derived closure's first-pair search.
 
     Each function is counted wherever it is bound by name, so a caller that
     reaches it through any of those modules is counted.
@@ -145,7 +148,9 @@ def test_value1_does_each_piece_of_work_once(
     """One saturation, of the extended closure, and one leak search per run.
 
     The plain closure is derived from the extended one: `markov_monoid` is
-    called once, on the extended closure, and saturates nothing.
+    called once, on the extended closure, and saturates nothing.  The
+    report reads nothing of that closure, so its first pairs are never
+    found: the witness is picked on the extended closure's keys.
     """
     report = run_json(capsys, ["value1", fixture_file(name)])
     assert report["value1"] == ("yes" if name == "fig3" else "no-with-bound")
@@ -154,6 +159,7 @@ def test_value1_does_each_piece_of_work_once(
         "markov_monoid": 1,
         "extended_markov_monoid": 1,
         "find_leak_witness": 1,
+        "first_words": 0,
     }
 
 
@@ -167,6 +173,7 @@ def test_reify_check_saturates_the_closure_it_reifies(capsys, fixture_file, call
         "markov_monoid": 1,
         "extended_markov_monoid": 1,
         "find_leak_witness": 1,
+        "first_words": 0,
     }
 
 
@@ -326,6 +333,24 @@ def test_stdin_input(tmp_path, capsys, monkeypatch) -> None:
     assert report["valid"] is True
 
 
+def test_stdin_without_a_byte_buffer_is_read_as_text(capsys, monkeypatch) -> None:
+    """A text-only standard input, such as `io.StringIO`, is read as a file
+    is, with the same line-end translation."""
+    import io
+
+    payload = json.dumps(automaton_to_json(fig3()), indent=1).replace("\n", "\r\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    report = run_json(capsys, ["value1", "-"])
+    assert (report["value1"], report["witness"]) == ("yes", "(a)#")
+    # Windows and old Mac line ends count as one line end each.
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{\r\n"states":\r ["p"],\n  oops}'))
+    assert main(["validate", "-"]) == 1
+    assert capsys.readouterr().err == (
+        "error: syntax error at line 4 column 3: "
+        "Expecting property name enclosed in double quotes\n"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Errors and exit codes
 
@@ -335,6 +360,19 @@ def test_missing_file_is_exit_1(capsys) -> None:
     captured = capsys.readouterr()
     assert code == 1
     assert captured.err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "name, reason",
+    [("missing.json", "No such file or directory"), (".", "Is a directory")],
+)
+def test_unreadable_path_is_exit_1_with_its_reason(capsys, tmp_path, name, reason) -> None:
+    # A directory opens on Linux; reading it is what fails.
+    path = tmp_path / name
+    assert main(["value1", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read {path}: {reason}\n"
 
 
 def test_invalid_automaton_is_exit_1(capsys, tmp_path) -> None:

@@ -284,6 +284,10 @@ def record(closure):
     return closure_record(closure.automaton, closure.elements, closure.provenance, closure.heights)
 
 
+def rendered(provenance) -> dict:
+    return {element: expression.render() for element, expression in provenance.items()}
+
+
 def assert_decisions_match_materialized(automaton) -> None:
     saturated, plain = extended_markov_monoid(automaton), markov_monoid(automaton)
     extended = record(saturated)
@@ -305,6 +309,13 @@ def assert_decisions_match_materialized(automaton) -> None:
         expression = derived.provenance[witness]
         assert report.certificate.witness.render() == expression.render()
         assert report.certificate.witness.word == expression.word
+    # The derived closure finds its first pairs when first read, after the
+    # witness was picked on the extended keys.
+    closure = report.closure
+    assert len(closure) == len(derived.elements)
+    assert closure.elements == derived.elements
+    assert closure.heights == derived.heights
+    assert rendered(closure.provenance) == rendered(derived.provenance)
 
     found = decide_leaktight(automaton).witness
     assert (found is None) == (leak is None)
