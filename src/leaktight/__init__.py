@@ -38,10 +38,8 @@ from .monoid import (
     decide_value1,
     find_value1_witness,
     is_value1_witness,
-    j_leq,
     markov_monoid,
     sharp_height,
-    two_sided_ideal,
 )
 from .oracle import (
     ReificationReport,
@@ -114,10 +112,8 @@ __all__ = [
     "decide_value1",
     "find_value1_witness",
     "is_value1_witness",
-    "j_leq",
     "markov_monoid",
     "sharp_height",
-    "two_sided_ideal",
     "ReificationReport",
     "WordFamily",
     "brute_force_value",

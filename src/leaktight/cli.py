@@ -76,10 +76,12 @@ def _read_automaton(path: str) -> Automaton:
     """The automaton at `path`, or on standard input for `-`, decoded alike.
 
     A standard input without a byte buffer, such as `io.StringIO`, is read
-    as text."""
+    as text; a closed one, `None`, cannot be read."""
     try:
         if path != "-":
             text = _read_bytes(path).decode("utf-8")
+        elif sys.stdin is None:
+            raise ValidationError("cannot read -: standard input is closed")
         elif hasattr(sys.stdin, "buffer"):
             text = sys.stdin.buffer.read().decode("utf-8")
         else:

@@ -19,7 +19,6 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Generic,
-    Iterable,
     Mapping,
     Optional,
     Sequence,
@@ -49,8 +48,6 @@ __all__ = [
     "decide_value1",
     "sharp_height",
     "bounded_witness_search",
-    "j_leq",
-    "two_sided_ideal",
 ]
 
 DEFAULT_CAP = 2**20
@@ -62,9 +59,10 @@ DEFAULT_CAP = 2**20
 # One engine saturates both closures.  An element is a tuple of k limit
 # words over n states (k = 1 for the plain monoid; k = 2 for extended pairs,
 # word then support), packed into one int key: row s of component c is row
-# j = c·n + s, held in bits [j·n, (j+1)·n).  `saturate` returns the keys
-# as they are, in a `Saturation`; limit words are decoded from them only
-# when read.  The componentwise product is
+# j = c·n + s, held in bits [j·n, (j+1)·n).  The packing constants of each
+# (n, k) are one cached `_Layout` record.  `saturate` returns the keys as
+# they are, in a `Saturation`; limit words are decoded from them only when
+# read.  The componentwise product is
 #
 #     x·y = OR over j = c·n + m of ((x >> m) & S_c) * (row j of y)
 #
@@ -72,9 +70,9 @@ DEFAULT_CAP = 2**20
 # mask keeps one bit at the start of each row of x that contains column m,
 # and multiplying by an n-bit row of y copies that row into every kept
 # field; fields are n bits wide, so the copies never carry into each other.
-# The k·n masks are an element's left-operand form, its k·n rows its
-# right-operand form.  Only the first component is iterated; the others are
-# carried along, and an element is idempotent when all of them are.
+# The k·n masks are an element's left-operand form, its k·n rows (`_rows`)
+# its right-operand form.  Only the first component is iterated; the others
+# are carried along, and an element is idempotent when all of them are.
 #
 # The closure is the monoid generated by the letters and, from layer h + 1
 # on, by the new iterates of the height-h idempotents.  It is enumerated on
@@ -97,28 +95,21 @@ DEFAULT_CAP = 2**20
 # extended closure of the hardest 6-state scaling automaton it is the two
 # letters and two of the 65 new iterates.
 #
-# The products are computed a frontier at a time.  A frontier is a run of
-# unexpanded elements that meet the same generators, at most `_SLOTS` of
-# them: the elements before `old` with the newest generator, the others
-# with all of them.  Its keys are packed into one wide int, one key
-# per slot of `width` bytes (whole 64-bit words, so that unpacking is one
-# `array("Q")`), and the formula above, applied to the wide left form and a
-# generator's rows, yields that generator's product with every element of
-# the frontier at once: fields stay inside their slot, as they stay inside
-# their row.  The products are then added in the order a scalar loop would
-# meet them, element by element and generator by generator, so discovery
-# order, provenance and the element at which the cap fails do not depend on
-# the batching.  Each layer's idempotents are found the same way, by one
-# slot-wise square of its elements, whose right operand differs from slot
-# to slot: term m ANDs the fields of the rows that contain column m (a
-# mask times `full`) with row m of each component, copied into every row
-# of that component (times `spread`).  The same two terms, read on the
-# diagonal of the first component, give recurrence and leaks: state s is
-# not recurrent when some term has s→m but not m→s, and a recurrent s
-# leaks when the second component has s→m and the first lacks m→s.  So
-# the one pass also yields each idempotent's iterate, which keeps only
-# the columns of the recurrent states, and marks the idempotents that
-# leak.
+# Two module-level kernels do the arithmetic, a frontier at a time: at most
+# `_SLOTS` keys packed into one wide int, one key per slot of whole 64-bit
+# words, so that `_unpack` is one `array("Q")`.  `_products`, the batch
+# product, applies the formula above to the wide left form and each
+# generator's rows, and yields that generator's product with every key at
+# once: fields stay inside their slot, as they stay inside their row.
+# `_square`, the batch square, multiplies each slot by itself and reads
+# recurrence off the same terms, so one pass yields a layer's idempotents,
+# their iterates, which keep only the columns of the recurrent states, and
+# the idempotents that leak.  `saturate` keeps the loop.  A frontier is a
+# run of unexpanded elements that meet the same generators: the elements
+# before `old` with the newest generator, the others with all of them.  The
+# products are added in the order a scalar loop would meet them, element
+# by element and generator by generator, so discovery order, provenance
+# and the element at which the cap fails do not depend on the batching.
 #
 # Provenance is kept as back-pointers, (p, g) for a product, i for an
 # iterate, a letter's name for a letter and None for the identity, and is
@@ -144,31 +135,117 @@ _SLOTS = 256
 V = TypeVar("V")
 
 
+@dataclass(frozen=True, slots=True)
+class _Layout:
+    """The packing constants of k-component elements over n states."""
+
+    n: int
+    k: int
+    full: int  # the row mask
+    spread: int  # bit s·n for every row s
+    masks: tuple[int, ...]  # S_c for every component c
+    shifts: tuple[int, ...]  # row j's shift, j·n
+    words: int  # the slot width in 64-bit words
+    every_row: int  # the bits of all the S_c
+    first_rows: int  # row 0 of every component
+    diagonal: int  # bit s·(n + 1) for every state s
+    word_mask: int  # the first component's bits
+
+
 @cache
-def _layout(
-    n: int, k: int
-) -> tuple[int, int, tuple[int, ...], tuple[int, ...], int, int, int, int]:
-    """The packing constants of k-component elements over n states: the
-    row mask `full`, `spread` (bit s·n for every row s), the masks S_c, the
-    row shifts, the slot width in 64-bit words, `every_row` (the bits of
-    all the S_c), `first_rows` (row 0 of every component) and `diagonal`
-    (bit s·(n + 1) for every state s)."""
+def _layout(n: int, k: int) -> _Layout:
     full = (1 << n) - 1
     spread = sum(1 << (s * n) for s in range(n))
     masks = tuple(spread << (c * n * n) for c in range(k))
     shifts = tuple(j * n for j in range(k * n))
     words = -(-k * n * n // 64)
-    every_row = sum(masks)
     first_rows = sum(full << (c * n * n) for c in range(k))
     diagonal = sum(1 << (s * (n + 1)) for s in range(n))
-    return full, spread, masks, shifts, words, every_row, first_rows, diagonal
+    every_row, word_mask = sum(masks), (1 << n * n) - 1
+    return _Layout(
+        n, k, full, spread, masks, shifts, words, every_row, first_rows, diagonal, word_mask
+    )
+
+
+def _rows(layout: _Layout, key: int) -> tuple[int, ...]:
+    """The key's rows, each component's n rows in turn, row s's bit t set
+    for the edge s→t: its right-operand form."""
+    full = layout.full
+    return tuple([(key >> shift) & full for shift in layout.shifts])
+
+
+def _ones(layout: _Layout, count: int) -> int:
+    """The wide int with 1 in each of `count` slots."""
+    if count == 1:
+        return 1
+    return int.from_bytes((1).to_bytes(8 * layout.words, "little") * count, "little")
+
+
+def _unpack(layout: _Layout, values: list[int], count: int) -> list[int]:
+    """The `count` slots of each wide int in turn, lowest slot first."""
+    if count == 1:
+        return values
+    words = layout.words
+    size = count * 8 * words
+    data = array("Q", b"".join([v.to_bytes(size, "little") for v in values]))
+    if sys.byteorder == "big":
+        data.byteswap()
+    slots = data[::words].tolist()
+    for w in range(1, words):
+        slots = list(map(or_, slots, map(lshift, data[w::words], repeat(64 * w))))
+    return slots
+
+
+def _products(
+    layout: _Layout, x: int, count: int, rights: Sequence[tuple[int, ...]]
+) -> list[int]:
+    """The batch product: each of the `count` keys packed in `x` times each
+    element whose rows are in `rights`, by right operand, then by slot."""
+    n, ones = layout.n, _ones(layout, count)
+    wide = [mask * ones for mask in layout.masks]
+    lefts = [(x >> m) & mask for mask in wide for m in range(n)]
+    products = [reduce(or_, map(mul, lefts, right)) for right in rights]
+    return _unpack(layout, products, count)
+
+
+def _square(
+    layout: _Layout, x: int, count: int, keys: Sequence[int], start: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The batch square of the `count` keys packed in `x`, which are
+    keys[start : start + count]: the slots of the idempotents, their
+    iterates, and the slots of the idempotents that leak.
+
+    Term m of the square ANDs `rows` (each row s with an edge s→m, made
+    whole) with `row` (row m, copied into every row).  On the first
+    component's diagonal, `rows` without `row` marks the states that are
+    not recurrent, and the second component's `rows`, shifted one
+    component down, without `row` marks the leaks."""
+    n, k, full, spread = layout.n, layout.k, layout.full, layout.spread
+    ones = _ones(layout, count)
+    kept, firsts = layout.every_row * ones, layout.first_rows * ones
+    square = nonrecurrent = leaking = 0
+    for m in range(n):
+        rows = ((x >> m) & kept) * full
+        row = ((x >> (m * n)) & firsts) * spread
+        square |= rows & row
+        back = ~row
+        nonrecurrent |= rows & back
+        if k > 1:
+            leaking |= (rows >> n * n) & back
+    recurrent = layout.diagonal * ones & ~nonrecurrent
+    slots = _unpack(layout, [square ^ x, recurrent, leaking & recurrent], count)
+    found = list(compress(range(count), map(not_, slots[:count])))
+    iterates = []
+    for j in found:
+        # Diagonal bit s·(n + 1) times `spread` lands once on bit
+        # (n - 1)·n + s; its other copies fall outside that row.
+        columns = (slots[count + j] * spread >> (n - 1) * n) & full
+        iterates.append(keys[start + j] & ~((full ^ columns) * spread))
+    return found, iterates, [j for j in found if slots[2 * count + j]]
 
 
 def saturate(
-    automaton: Automaton,
-    components: int,
-    cap: int,
-    max_height: int = sys.maxsize,
+    automaton: Automaton, components: int, cap: int, max_height: int = sys.maxsize
 ) -> Saturation:
     """Saturate the automaton's letters under products and iterates.
 
@@ -180,13 +257,8 @@ def saturate(
     elements whose components are all idempotent, and those of the
     idempotents that leak.
     """
-    n, k = len(automaton.states), components
-    full, spread, masks, shifts, words, every_row, first_rows, diagonal = _layout(n, k)
-    width = 8 * words
-
-    def right_form(key: int) -> tuple[int, ...]:
-        return tuple([(key >> shift) & full for shift in shifts])
-
+    layout = _layout(len(automaton.states), components)
+    n, k, width = layout.n, components, 8 * layout.words
     keys: list[int] = []
     # Each key's index.  Only membership is read, and a dict probes these
     # keys, which hash to themselves, faster than a set does.
@@ -204,25 +276,11 @@ def saturate(
         heights.append(height)
         packed.extend(key.to_bytes(width, "little"))
 
-    def frontier(start: int, end: int) -> tuple[int, int]:
-        """keys[start:end] packed into one wide int, one key per slot, and
-        the wide int with 1 in each of those slots."""
+    def frontier(start: int, end: int) -> int:
+        """keys[start:end] packed into one wide int, one key per slot."""
         if end - start == 1:
-            return keys[start], 1
-        x = int.from_bytes(packed[start * width : end * width], "little")
-        return x, int.from_bytes((1).to_bytes(width, "little") * (end - start), "little")
-
-    def unpack(values: list[int], count: int) -> list[int]:
-        """The `count` slots of each wide int in turn, lowest slot first."""
-        if count == 1:
-            return values
-        data = array("Q", b"".join([v.to_bytes(count * width, "little") for v in values]))
-        if sys.byteorder == "big":
-            data.byteswap()
-        slots = data[::words].tolist()
-        for w in range(1, words):
-            slots = list(map(or_, slots, map(lshift, data[w::words], repeat(64 * w))))
-        return slots
+            return keys[start]
+        return int.from_bytes(packed[start * width : end * width], "little")
 
     # The identity, back-pointer None, then each letter's abstraction, the
     # support of its matrix, back-pointer its name.
@@ -237,31 +295,19 @@ def saturate(
     generators = list(range(1, len(keys)))
 
     def close(old: int, height: int) -> None:
-        """Multiply the elements before `old` by the newest generator, and
-        every later element by all generators.
-
-        Layer 0 is closed with `old` = 0, so every element meets every
-        generator.  From layer 1 on, the newest generator is an iterate and
-        `old` is its index: the elements before it have met every earlier
-        generator, and the iterate and the elements this pass finds have
-        met none.  Every product gets the layer's `height`: it is not in
-        the closure of the lower layers, and both its factors have at most
-        that height.
-        """
-        forms = [(g, right_form(keys[g])) for g in generators]
-        new_forms = forms[-1:]
+        """Multiply the elements before `old`, which have met every earlier
+        generator, by the newest one, and every later element by all of
+        them.  Each new product gets the layer's `height`: both its factors
+        have at most that height, and the lower layers are closed."""
+        rights = [_rows(layout, keys[g]) for g in generators]
+        every, newest = (generators, rights), (generators[-1:], rights[-1:])
         # The identity, element 0, times a generator is that generator.
         pointer = 1
         while pointer < len(keys):
-            meets = new_forms if pointer < old else forms
+            meets, forms = newest if pointer < old else every
             end = min(pointer + _SLOTS, old if pointer < old else len(keys))
             count = end - pointer
-            x, ones = frontier(pointer, end)
-            wide = [mask * ones for mask in masks]
-            lefts = [(x >> m) & mask for mask in wide for m in range(n)]
-            products = unpack(
-                [reduce(or_, map(mul, lefts, g_right)) for _, g_right in meets], count
-            )
+            products = _products(layout, frontier(pointer, end), count, forms)
             # The products not known before this pass come out by generator;
             # they are added by element, then by generator.
             fresh = [i for i, xg in enumerate(products) if xg not in index]
@@ -270,60 +316,27 @@ def saturate(
             for i in fresh:
                 xg = products[i]
                 if xg not in index:
-                    add(xg, (pointer + i % count, meets[i // count][0]), height)
+                    add(xg, (pointer + i % count, meets[i // count]), height)
             pointer = end
 
-    def idempotents(start: int, end: int) -> tuple[list[int], list[int]]:
-        """The indices of the idempotents among keys[start:end], in order,
-        and their iterates; those of the idempotents that leak are appended
-        to `leaks`.  Term m of the square ANDs `rows` (each row s with an
-        edge s→m, made whole) with `row` (row m, copied into every row).
-        On the first component's diagonal, `rows` without `row` marks the
-        states that are not recurrent, and the second component's `rows`,
-        shifted one component down, without `row` marks the leaks."""
-        found: list[int] = []
-        iterates: list[int] = []
-        for lo in range(start, end, _SLOTS):
-            count = min(_SLOTS, end - lo)
-            x, ones = frontier(lo, lo + count)
-            kept, firsts = every_row * ones, first_rows * ones
-            square = nonrecurrent = leaking = 0
-            for m in range(n):
-                rows = ((x >> m) & kept) * full
-                row = ((x >> (m * n)) & firsts) * spread
-                square |= rows & row
-                back = ~row
-                nonrecurrent |= rows & back
-                if k > 1:
-                    leaking |= (rows >> n * n) & back
-            recurrent = diagonal * ones & ~nonrecurrent
-            slots = unpack([square ^ x, recurrent, leaking & recurrent], count)
-            layer = list(compress(range(count), map(not_, slots[:count])))
-            for j in layer:
-                # Diagonal bit s·(n + 1) times `spread` lands once on bit
-                # (n - 1)·n + s; its other copies fall outside that row.
-                columns = (slots[count + j] * spread >> (n - 1) * n) & full
-                iterates.append(keys[lo + j] & ~((full ^ columns) * spread))
-            found += [lo + j for j in layer]
-            leaks.extend([lo + j for j in layer if slots[2 * count + j]])
-        return found, iterates
-
-    close(0, 0)
+    close(0, 0)  # layer 0: every element meets every generator
     found: list[int] = []
     leaks: list[int] = []
     level, start = 0, 0
     while True:
         old = len(keys)
-        layer, iterates = idempotents(start, old)
-        found += layer
-        if level >= max_height:
-            break
-        for i, v in zip(layer, iterates):
-            if v not in index:
-                add(v, i, level + 1)
-                generators.append(len(keys) - 1)
-                close(len(keys) - 1, level + 1)
-        if len(keys) == old:
+        for lo in range(start, old, _SLOTS):
+            count = min(_SLOTS, old - lo)
+            x = frontier(lo, lo + count)
+            slots, iterates, leaking = _square(layout, x, count, keys, lo)
+            found += [lo + j for j in slots]
+            leaks += [lo + j for j in leaking]
+            for j, v in zip(slots, iterates):
+                if level < max_height and v not in index:
+                    add(v, lo + j, level + 1)
+                    generators.append(len(keys) - 1)
+                    close(len(keys) - 1, level + 1)
+        if level >= max_height or len(keys) == old:
             break
         level, start = level + 1, old
 
@@ -368,10 +381,7 @@ class Saturation:
         self.heights = heights
         self.idempotents = idempotents
         self.leaks = leaks
-        n = len(automaton.states)
-        full, _, _, self._shifts, *_ = _layout(n, components)
-        self._n, self._full = n, full
-        self._spans = [slice(c * n, (c + 1) * n) for c in range(components)]
+        self._layout = _layout(len(automaton.states), components)
         self._words: list[Optional[tuple[LimitWord, ...]]] = [None] * len(keys)
         self._nodes: list[Optional[SharpExpression]] = [None] * len(keys)
 
@@ -381,8 +391,8 @@ class Saturation:
     def first_words(self) -> list[int]:
         """The index of the first element with each distinct first
         component, ascending, found on the keys' word bits."""
-        n = self._n
-        words = [key & ((1 << n * n) - 1) for key in self.keys]
+        mask = self._layout.word_mask
+        words = [key & mask for key in self.keys]
         # Filled from the last element back, so each word keeps its first.
         firsts = dict(zip(reversed(words), range(len(words) - 1, -1, -1)))
         return sorted(firsts.values())
@@ -390,15 +400,15 @@ class Saturation:
     def rows(self, i: int) -> tuple[int, ...]:
         """Element i's rows, read off its key: each component's n rows in
         turn, row s's bit t set for the edge s→t.  Nothing is decoded."""
-        key, full = self.keys[i], self._full
-        return tuple([(key >> shift) & full for shift in self._shifts])
+        return _rows(self._layout, self.keys[i])
 
     def words(self, i: int) -> tuple[LimitWord, ...]:
         """Element i's components, as validated limit words."""
         words = self._words[i]
         if words is None:
-            rows, n = self.rows(i), self._n
-            words = tuple([LimitWord(n, rows[span]) for span in self._spans])
+            rows, n = self.rows(i), self._layout.n
+            spans = range(0, len(rows), n)
+            words = tuple([LimitWord(n, rows[j : j + n]) for j in spans])
             self._words[i] = words
         return words
 
@@ -590,14 +600,13 @@ def _value1_witness_index(
 ) -> Optional[int]:
     """The first of `indices` whose word, the first component, is the
     least witness in row-major bit order, or None."""
-    automaton = saturation.automaton
-    n = len(automaton.states)
-    start = automaton.state_index[automaton.initial] * n
-    outside = ((1 << n) - 1) & ~_final_mask(automaton)
+    automaton, layout = saturation.automaton, saturation._layout
+    start = automaton.state_index[automaton.initial] * layout.n
+    outside = layout.full & ~_final_mask(automaton)
     keys = saturation.keys
     found = [i for i in indices if not keys[i] >> start & outside]
     # An extended pair's support bits lie above its word's, and are masked.
-    return _least_row_major(found, keys, (1 << n * n) - 1) if found else None
+    return _least_row_major(found, keys, layout.word_mask) if found else None
 
 
 def _least_row_major(
@@ -749,25 +758,3 @@ def bounded_witness_search(
         raise CapExceeded(f"witness search exceeded cap of {cap} elements") from None
     i = _value1_witness_index(saturation, range(len(saturation)))
     return None if i is None else saturation.expression(i)
-
-
-# ---------------------------------------------------------------------------
-# The two-sided-ideal preorder
-
-
-def two_sided_ideal(
-    element: LimitWord, elements: Iterable[LimitWord]
-) -> frozenset[LimitWord]:
-    """All products x·element·y over the given elements."""
-    pool = tuple(elements)
-    left = {x.concat(element) for x in pool}
-    return frozenset(l.concat(y) for l in left for y in pool)
-
-
-def j_leq(u: LimitWord, v: LimitWord, closure: MonoidClosure) -> bool:
-    """Whether u lies in the two-sided ideal generated by v."""
-    if u not in closure:
-        raise ValidationError("membership violation: first element not in closure")
-    if v not in closure:
-        raise ValidationError("membership violation: second element not in closure")
-    return u in two_sided_ideal(v, closure.elements)

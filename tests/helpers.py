@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import random
 from fractions import Fraction
+from typing import Iterable
 
 from hypothesis import strategies as st
 
@@ -19,6 +20,7 @@ from leaktight import (
     ExtendedLimitWord,
     LimitWord,
     MonoidClosure,
+    ValidationError,
     extended_markov_monoid,
     markov_monoid,
 )
@@ -57,6 +59,29 @@ def idempotent_pairs(closure: ExtendedClosure) -> frozenset[ExtendedLimitWord]:
 
 def corpus() -> range:
     return range(SUITE_SIZE)
+
+
+# ---------------------------------------------------------------------------
+# The two-sided-ideal preorder, by all products: the slow reference for a
+# J-order read off the Cayley graphs.
+
+
+def two_sided_ideal(
+    element: LimitWord, elements: Iterable[LimitWord]
+) -> frozenset[LimitWord]:
+    """All products x·element·y over the given elements."""
+    pool = tuple(elements)
+    left = {x.concat(element) for x in pool}
+    return frozenset(l.concat(y) for l in left for y in pool)
+
+
+def j_leq(u: LimitWord, v: LimitWord, closure: MonoidClosure) -> bool:
+    """Whether u lies in the two-sided ideal generated by v."""
+    if u not in closure:
+        raise ValidationError("membership violation: first element not in closure")
+    if v not in closure:
+        raise ValidationError("membership violation: second element not in closure")
+    return u in two_sided_ideal(v, closure.elements)
 
 
 # ---------------------------------------------------------------------------

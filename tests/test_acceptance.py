@@ -21,7 +21,6 @@ from leaktight import (
     find_value1_witness,
     hat_morphism,
     is_sharp_acyclic,
-    j_leq,
     markov_monoid,
     parallel_composition,
     parse_family,
@@ -32,7 +31,6 @@ from leaktight import (
     sharp_height,
     synchronized_product,
     third_simulation,
-    two_sided_ideal,
 )
 from leaktight.generate import (
     random_automaton,
@@ -41,7 +39,14 @@ from leaktight.generate import (
 )
 from leaktight.zoo import det1, fig1, fig3, hier2, rnd3, sink
 
-from .helpers import SUITE_SIZE, seeded_automaton, seeded_closure, seeded_extended
+from .helpers import (
+    SUITE_SIZE,
+    j_leq,
+    seeded_automaton,
+    seeded_closure,
+    seeded_extended,
+    two_sided_ideal,
+)
 
 
 def test_criterion_01_fig3_end_to_end() -> None:

@@ -351,6 +351,17 @@ def test_stdin_without_a_byte_buffer_is_read_as_text(capsys, monkeypatch) -> Non
     )
 
 
+def test_closed_stdin_is_exit_1_with_one_error_line(capsys, monkeypatch) -> None:
+    """With standard input closed, as after `<&-`, `sys.stdin` is None."""
+    monkeypatch.setattr(sys, "stdin", None)
+    assert main(["value1", "-"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "",
+        "error: cannot read -: standard input is closed\n",
+    )
+
+
 # ---------------------------------------------------------------------------
 # Errors and exit codes
 

@@ -17,16 +17,14 @@ from leaktight import (
     extended_markov_monoid,
     find_value1_witness,
     is_value1_witness,
-    j_leq,
     markov_monoid,
     parse_expression,
     sharp_height,
-    two_sided_ideal,
 )
 from leaktight.generate import perturb
 from leaktight.zoo import det1, fig1, fig3, hier2, rnd3, sink
 
-from .helpers import seeded_automaton, seeded_closure
+from .helpers import j_leq, seeded_automaton, seeded_closure, two_sided_ideal
 
 
 # ---------------------------------------------------------------------------

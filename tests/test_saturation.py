@@ -15,7 +15,8 @@ Against the scalar right-Cayley loop the engine batches, the comparison is
 exact: the same elements, rendered expressions with their words, heights
 and idempotents, in the same order, and the same `CapExceeded` message.
 The engine's expressions carry the words it computed; the references and
-`rederive` compute them again with the scalar operations.
+`rederive` compute them again with the scalar operations.  The batch
+product and the batch square are also checked alone, on random keys.
 """
 
 from __future__ import annotations
@@ -37,7 +38,18 @@ from leaktight import (
 )
 from leaktight.generate import random_automaton
 from leaktight.leaks import ExtendedClosure, ExtendedLimitWord
-from leaktight.monoid import DEFAULT_CAP, MonoidClosure, Saturation, saturate
+from leaktight.limitword import LimitWord
+from leaktight.monoid import (
+    _SLOTS,
+    DEFAULT_CAP,
+    MonoidClosure,
+    Saturation,
+    _layout,
+    _products,
+    _rows,
+    _square,
+    saturate,
+)
 from leaktight.sharpexpr import (
     Concat,
     Epsilon,
@@ -61,6 +73,7 @@ from .reference_saturation import (
     reference_bounded_witness_search,
     reference_cayley_saturate,
     reference_extended_markov_monoid,
+    reference_leak,
     reference_markov_monoid,
 )
 
@@ -335,6 +348,80 @@ def test_saturation_order_matches_scalar_loop_on_drawn_automata(automaton) -> No
     # the two engines must agree, down to the element that exceeds it.
     for components in (1, 2):
         assert_same_saturation(automaton, components, cap=3000)
+
+
+# ---------------------------------------------------------------------------
+# The kernels on their own, on random keys that no closure need contain
+
+# (states, components, 64-bit words per slot): two components over 4, 6
+# and 9 states fill one, two and three words of a slot; one component, one.
+KERNEL_LAYOUTS = ((4, 2, 1), (6, 2, 2), (9, 2, 3), (5, 1, 1))
+
+
+def random_element(rng: random.Random, states: int, components: int):
+    """A limit word, or for two components a pair whose support holds the
+    word's edges, with random rows, sparse or dense; half of them are
+    replaced by their idempotent power, so that the square meets
+    idempotents and leaks."""
+    picks = rng.choice((1, 2, states))
+
+    def row() -> int:
+        return sum({1 << rng.randrange(states) for _ in range(picks)})
+
+    word = LimitWord(states, [row() for _ in range(states)])
+    element = word
+    if components == 2:
+        support = LimitWord(states, [r | row() for r in word.rows])
+        element = ExtendedLimitWord(word, support)
+    power = element
+    if rng.random() < 0.5:
+        while not power.is_idempotent():
+            power = power.concat(element)
+    return power
+
+
+def element_rows(element) -> tuple[int, ...]:
+    """Each component's rows in turn: the word's, then the support's."""
+    if isinstance(element, ExtendedLimitWord):
+        return element.word.rows + element.support.rows
+    return element.rows
+
+
+def element_key(element) -> int:
+    return sum(row << (j * element.dim) for j, row in enumerate(element_rows(element)))
+
+
+@pytest.mark.parametrize("count", (1, 2, _SLOTS - 1, _SLOTS))
+@pytest.mark.parametrize("states,components,words", KERNEL_LAYOUTS)
+def test_kernels_match_the_scalar_operations_on_random_keys(
+    states: int, components: int, words: int, count: int
+) -> None:
+    rng = random.Random(1000 * states + 100 * components + count)
+    layout = _layout(states, components)
+    assert layout.words == words
+    elements = [random_element(rng, states, components) for _ in range(count)]
+    keys = [element_key(x) for x in elements]
+    wide = sum(key << (64 * words * i) for i, key in enumerate(keys))
+
+    # The batch product, by right operand, then by slot.
+    rights = [random_element(rng, states, components) for _ in range(3)]
+    assert [_rows(layout, element_key(y)) for y in rights] == list(map(element_rows, rights))
+    assert _products(layout, wide, count, list(map(element_rows, rights))) == [
+        element_key(x.concat(y)) for y in rights for x in elements
+    ]
+
+    # The batch square, on keys that sit at an offset in a longer list.
+    offset = rng.randrange(1, 4)
+    padded = [rng.randrange(1 << 64) for _ in range(offset)] + keys
+    idempotent = [j for j, x in enumerate(elements) if x.is_idempotent()]
+    leaking = [] if components == 1 else [
+        j for j in idempotent if reference_leak(elements[j]) is not None
+    ]
+    iterates = [element_key(elements[j].iterate()) for j in idempotent]
+    assert _square(layout, wide, count, padded, offset) == (idempotent, iterates, leaking)
+    if count >= _SLOTS - 1:
+        assert 0 < len(idempotent) < count
+        assert components == 1 or 0 < len(leaking) < len(idempotent)
 
 
 # ---------------------------------------------------------------------------
